@@ -68,7 +68,6 @@ def search_pairing(n: int, mode: str, level: int, seed: int,
     chosen = [0] * total
 
     nodes = prune_orient = prune_edge = prune_genus = leaves = 0
-    boundary_peak = 12 * n  # nothing glued yet: every link edge is boundary
     orient_sigs: set[str] = set()
     nonor_sigs: set[str] = set()
     frontier: list[tuple[int, ...]] | None = [] if depth_cap is not None else None
@@ -159,7 +158,6 @@ def search_pairing(n: int, mode: str, level: int, seed: int,
         "prune_edge": prune_edge,
         "prune_genus": prune_genus,
         "leaves": leaves,
-        "boundary_peak": boundary_peak,
         "orient_sigs": sorted(orient_sigs),
         "nonor_sigs": sorted(nonor_sigs),
         "frontier": frontier,

@@ -1,16 +1,15 @@
 """Command-line surface.
 
 Subcommands: census, fpg, jobs, run-job, merge, bench, validate, bound.
-Flag conventions are shared across subcommands; `--seed` falls back to
-the LINKCENSUS_SEED environment variable.  Exit codes: 0 success, 1
-internal contract violation (with a diagnostic on stderr), 2 usage error.
+Flag conventions are shared across subcommands; `LINKCENSUS_BACKEND`
+picks the engine.  Exit codes: 0 success, 1 internal contract violation
+(with a diagnostic on stderr), 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -37,25 +36,18 @@ from .search import (
 from .validate import build_links, check_edges
 
 
-def _env_seed() -> int:
-    return int(os.environ.get("LINKCENSUS_SEED", "0"))
-
-
 def _add_census_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--size", type=int, required=True, metavar="N")
     p.add_argument("--mode", choices=("all", "orientable", "nonorientable"),
                    default="all")
     p.add_argument("--pruning", type=int, choices=(0, 1, 2), default=2)
-    p.add_argument("--seed", type=int, default=None,
-                   help="skip-list seed (default: $LINKCENSUS_SEED or 0)")
     p.add_argument("--force-level0", action="store_true",
                    help="lift the size gate on pruning level 0")
 
 
 def _config(args) -> SearchConfig:
-    seed = args.seed if args.seed is not None else _env_seed()
     return SearchConfig(n=args.size, mode=args.mode, level=args.pruning,
-                        seed=seed, force_level0=args.force_level0)
+                        force_level0=args.force_level0)
 
 
 def _open_out(path: str | None):
@@ -172,13 +164,12 @@ def _cmd_merge(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    seed = args.seed if args.seed is not None else _env_seed()
     levels = ([0] if args.size <= 4 else []) + [1, 2]
     print(f"backend={load_backend().BACKEND_NAME}")
     print("level,nodes,prune_orient,prune_edge,prune_genus,leaves,kept,seconds")
     timed: dict[int, tuple[CensusResult, float]] = {}
     for level in levels:
-        config = SearchConfig(n=args.size, mode=args.mode, level=level, seed=seed)
+        config = SearchConfig(n=args.size, mode=args.mode, level=level)
         t0 = time.perf_counter()
         result = enumerate_census(config)
         wall = time.perf_counter() - t0
@@ -199,7 +190,7 @@ def _cmd_bench(args) -> int:
                 eng = load_backend(backend)
             except RuntimeError:
                 continue
-            config = SearchConfig(n=args.size, mode=args.mode, seed=seed)
+            config = SearchConfig(n=args.size, mode=args.mode)
             t0 = time.perf_counter()
             res = enumerate_census(config, backend=backend)
             wall = time.perf_counter() - t0
@@ -317,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, required=True, metavar="N")
     p.add_argument("--mode", choices=("all", "orientable", "nonorientable"),
                    default="all")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--backends", action="store_true",
                    help="also compare the compiled and pure-Python engines")
     p.set_defaults(func=_cmd_bench)

@@ -10,7 +10,7 @@ tree into replayable jobs, and merging partial results exactly.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from . import _engine_py
 from .fpg import enumerate_pairings, format_pairing, parse_pairing
@@ -45,12 +45,13 @@ def load_backend(name: str | None = None):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """What to enumerate: size, orientability mode, pruning level, seed."""
+    """What to enumerate: size, orientability mode and pruning level;
+    `force_level0` lifts the size gate on level 0.  Nothing else changes
+    a census, so the kernels' positional `seed` is always passed 0."""
 
     n: int
     mode: str = "all"
     level: int = 2
-    seed: int = 0
     force_level0: bool = False
 
     def __post_init__(self):
@@ -67,6 +68,11 @@ class SearchConfig:
             )
 
 
+CONFIG_KEYS = {f.name for f in fields(SearchConfig)}
+#: header keys of a job line, in the order format_job writes them
+JOB_KEYS = ("n", "mode", "level", "force_level0", "index")
+
+
 @dataclass(frozen=True)
 class PairingRow:
     """Counts and deduplicated signatures for one canonical pairing."""
@@ -77,7 +83,6 @@ class PairingRow:
     prune_edge: int
     prune_genus: int
     leaves: int
-    boundary_peak: int
     orient_sigs: tuple[str, ...]
     nonor_sigs: tuple[str, ...]
 
@@ -123,10 +128,6 @@ class CensusResult:
     def leaves(self) -> int:
         return sum(r.leaves for r in self.rows)
 
-    @property
-    def boundary_peak(self) -> int:
-        return max((r.boundary_peak for r in self.rows), default=0)
-
     def signatures(self) -> list[str]:
         out: list[str] = []
         for r in self.rows:
@@ -154,7 +155,6 @@ def _row_from_raw(index: int, raw: dict) -> PairingRow:
         prune_edge=raw["prune_edge"],
         prune_genus=raw["prune_genus"],
         leaves=raw["leaves"],
-        boundary_peak=raw["boundary_peak"],
         orient_sigs=tuple(raw["orient_sigs"]),
         nonor_sigs=tuple(raw["nonor_sigs"]),
     )
@@ -166,7 +166,7 @@ def enumerate_census(config: SearchConfig, backend: str | None = None) -> Census
     rows = []
     for index, pairing in enumerate(enumerate_pairings(config.n)):
         raw = eng.search_pairing(config.n, config.mode, config.level,
-                                 config.seed, pairing)
+                                 0, pairing)
         rows.append(_row_from_raw(index, raw))
     return CensusResult(config, tuple(rows))
 
@@ -188,7 +188,7 @@ def split_jobs(config: SearchConfig, depth: int,
     rows = []
     for index, pairing in enumerate(enumerate_pairings(config.n)):
         raw = eng.search_pairing(config.n, config.mode, config.level,
-                                 config.seed, pairing, depth_cap=depth)
+                                 0, pairing, depth_cap=depth)
         rows.append(_row_from_raw(index, raw))
         jobs.extend(JobDescriptor(config, index, pairing, prefix)
                     for prefix in raw["frontier"])
@@ -204,7 +204,7 @@ def run_job(job: JobDescriptor, backend: str | None = None) -> CensusResult:
     """
     eng = load_backend(backend)
     raw = eng.search_pairing(job.config.n, job.config.mode, job.config.level,
-                             job.config.seed, job.pairing, prefix=job.prefix)
+                             0, job.pairing, prefix=job.prefix)
     return CensusResult(job.config, (_row_from_raw(job.pairing_index, raw),))
 
 
@@ -234,7 +234,6 @@ def merge(results: list[CensusResult]) -> CensusResult:
             prune_edge=sum(r.prune_edge for r in group),
             prune_genus=sum(r.prune_genus for r in group),
             leaves=sum(r.leaves for r in group),
-            boundary_peak=max(r.boundary_peak for r in group),
             orient_sigs=tuple(sorted(orient)),
             nonor_sigs=tuple(sorted(nonor)),
         ))
@@ -258,33 +257,34 @@ def stats_csv(result: CensusResult) -> str:
 
 def result_to_dict(result: CensusResult) -> dict:
     """JSON-friendly form, exact inverse of result_from_dict."""
-    c = result.config
     return {
-        "config": {"n": c.n, "mode": c.mode, "level": c.level, "seed": c.seed,
-                   "force_level0": c.force_level0},
+        "config": asdict(result.config),
         "rows": [
             [r.index, r.nodes, r.prune_orient, r.prune_edge, r.prune_genus,
-             r.leaves, r.boundary_peak, list(r.orient_sigs), list(r.nonor_sigs)]
+             r.leaves, list(r.orient_sigs), list(r.nonor_sigs)]
             for r in result.rows
         ],
     }
 
 
 def result_from_dict(data: dict) -> CensusResult:
-    config = SearchConfig(**data["config"])
-    rows = tuple(
-        PairingRow(index=row[0], nodes=row[1], prune_orient=row[2],
-                   prune_edge=row[3], prune_genus=row[4], leaves=row[5],
-                   boundary_peak=row[6], orient_sigs=tuple(row[7]),
-                   nonor_sigs=tuple(row[8]))
-        for row in data["rows"]
-    )
-    return CensusResult(config, rows)
+    if not isinstance(data, dict) or set(data) != {"config", "rows"}:
+        raise ValueError("a result must be an object with config and rows")
+    keys = set(data["config"])
+    if keys != CONFIG_KEYS:
+        raise ValueError(f"result config has keys {sorted(keys)}, "
+                         f"expected {sorted(CONFIG_KEYS)}")
+    if any(len(row) != 8 for row in data["rows"]):
+        raise ValueError("result rows must have 8 columns")
+    rows = tuple(PairingRow(*row[:6], tuple(row[6]), tuple(row[7]))
+                 for row in data["rows"])
+    return CensusResult(SearchConfig(**data["config"]), rows)
 
 
 def format_job(job: JobDescriptor) -> str:
     c = job.config
-    head = f"n={c.n} mode={c.mode} level={c.level} seed={c.seed} index={job.pairing_index}"
+    head = (f"n={c.n} mode={c.mode} level={c.level} "
+            f"force_level0={int(c.force_level0)} index={job.pairing_index}")
     pairs = [(s, p) for s, p in enumerate(job.pairing) if s < p]
     toks = " ".join(f"{pairs[k][0]}={job.pairing[pairs[k][0]] // 4}:{pi}"
                     for k, pi in enumerate(job.prefix))
@@ -295,10 +295,19 @@ def parse_job(line: str) -> JobDescriptor:
     parts = [p.strip() for p in line.split("|")]
     if len(parts) != 3:
         raise ValueError("job line must have config | pairing | prefix")
-    fields = dict(tok.split("=", 1) for tok in parts[0].split())
-    config = SearchConfig(n=int(fields["n"]), mode=fields["mode"],
-                          level=int(fields["level"]), seed=int(fields["seed"]))
-    index = int(fields["index"])
+    head = dict(tok.partition("=")[::2] for tok in parts[0].split())
+    for key in JOB_KEYS:
+        if key not in head:
+            raise ValueError(f"job line lacks {key}=")
+    for key in head:
+        if key not in JOB_KEYS:
+            raise ValueError(f"job line has unknown key {key!r}")
+    if head["force_level0"] not in ("0", "1"):
+        raise ValueError("job line force_level0 must be 0 or 1")
+    config = SearchConfig(n=int(head["n"]), mode=head["mode"],
+                          level=int(head["level"]),
+                          force_level0=head["force_level0"] == "1")
+    index = int(head["index"])
     pn, pairing = parse_pairing(parts[1])
     if pn != config.n:
         raise ValueError("pairing size disagrees with config")

@@ -59,10 +59,9 @@ needs_fast = pytest.mark.skipif(
 
 
 @functools.lru_cache(maxsize=None)
-def census(n: int, mode: str = "all", level: int = 2, seed: int = 0,
+def census(n: int, mode: str = "all", level: int = 2,
            backend: str | None = None, force_level0: bool = False) -> CensusResult:
-    config = SearchConfig(n=n, mode=mode, level=level, seed=seed,
-                          force_level0=force_level0)
+    config = SearchConfig(n=n, mode=mode, level=level, force_level0=force_level0)
     return enumerate_census(config, backend=backend)
 
 

@@ -108,6 +108,16 @@ def test_merge_rejects_headerless_jobs_file(tmp_path, capsys):
     rc, _, err = run_cli(capsys, "merge", "--jobs", str(bad))
     assert rc == 1
     assert "no partial-result header" in err
+    # the previous result format carried a seed and a ninth row column
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({
+        "config": {"n": 1, "mode": "all", "level": 2, "seed": 0,
+                   "force_level0": False},
+        "rows": [[0, 3, 0, 0, 0, 1, 12, ["sig"], []]],
+    }) + "\n")
+    rc, _, err = run_cli(capsys, "merge", str(old))
+    assert rc == 1
+    assert err.startswith("error: result config has keys")
 
 
 def _reversed_edge_table() -> str:
@@ -183,20 +193,22 @@ def test_lower_bound_validation():
         lower_bound(0)
 
 
-def test_seed_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("LINKCENSUS_SEED", "7")
-    rc, out, _ = run_cli(capsys, "census", "--size", "1", "--sigs")
-    assert rc == 0
-    assert out.splitlines()[:-1] == census(1).signatures()
-
-
-def test_contract_violations_exit_one(capsys):
+def test_contract_violations_exit_one(tmp_path, capsys):
     rc, _, err = run_cli(capsys, "census", "--size", "0")
     assert rc == 1
     assert err.startswith("error: size must be at least 1")
     rc, _, err = run_cli(capsys, "census", "--size", "5", "--pruning", "0")
     assert rc == 1
     assert "force_level0" in err
+    jobs = tmp_path / "jobs.txt"
+    rc, _, _ = run_cli(capsys, "jobs", "--size", "1", "--depth", "1",
+                       "--out", str(jobs))
+    assert rc == 0
+    line = jobs.read_text().splitlines()[1]
+    jobs.write_text(line.replace(" level=2", "") + "\n")
+    rc, _, err = run_cli(capsys, "run-job", "--in", str(jobs))
+    assert rc == 1
+    assert err == "error: job line lacks level=\n"
 
 
 def test_usage_errors_exit_two(capsys):
@@ -206,3 +218,9 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])
     assert exc.value.code == 2
+    for argv in (["census", "--size", "1", "--seed", "1"],
+                 ["jobs", "--size", "1", "--depth", "1", "--seed", "1"],
+                 ["bench", "--size", "1", "--seed", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)  # the seed option is gone
+        assert exc.value.code == 2

@@ -110,13 +110,6 @@ def test_search_is_deterministic_and_seed_free():
     a = enumerate_census(SearchConfig(n=2))
     b = enumerate_census(SearchConfig(n=2))
     assert a == b
-    assert census(2, seed=5).signatures() == census(2).signatures()
-
-
-def test_boundary_peak_is_initial_boundary():
-    for n in (1, 2, 3):
-        assert census(n).boundary_peak == 12 * n
-        assert all(r.boundary_peak == 12 * n for r in census(n).rows)
 
 
 def test_config_validation():
@@ -212,13 +205,26 @@ def test_summary_and_stats_formats():
 def test_result_dict_roundtrip():
     res = census(2)
     assert result_from_dict(result_to_dict(res)) == res
+    data = result_to_dict(res)
+    for bad in ([data], {"config": data["config"]}):
+        with pytest.raises(ValueError, match="config and rows"):
+            result_from_dict(bad)
+    with pytest.raises(ValueError, match="config has keys"):
+        result_from_dict({**data, "config": {**data["config"], "seed": 0}})
+    with pytest.raises(ValueError, match="8 columns"):
+        result_from_dict({**data, "rows": [row[:6] + [24] + row[6:]
+                                           for row in data["rows"]]})
 
 
 def test_job_line_roundtrip():
-    jobs, _ = split_jobs(SearchConfig(n=2), 2)
-    assert jobs, "depth-2 split of n=2 must leave work"
-    for job in jobs:
-        assert parse_job(format_job(job)) == job
+    """Every SearchConfig field survives the job line."""
+    for config in (SearchConfig(n=2), SearchConfig(n=2, mode="orientable"),
+                   SearchConfig(n=2, mode="nonorientable", level=1),
+                   SearchConfig(n=2, level=0, force_level0=True)):
+        jobs, _ = split_jobs(config, 2)
+        assert jobs, "depth-2 split of n=2 must leave work"
+        for job in jobs:
+            assert parse_job(format_job(job)) == job
 
 
 def test_job_line_rejects_tampering():
@@ -232,6 +238,15 @@ def test_job_line_rejects_tampering():
     forged = f"{head} | {pairing} | {slot}={int(tet) + 1}:{pi}"
     with pytest.raises(ValueError, match="does not match the pairing"):
         parse_job(forged)
+    with pytest.raises(ValueError, match="lacks level="):
+        parse_job(line.replace(" level=2", ""))
+    # the previous format carried a seed= key
+    with pytest.raises(ValueError, match="unknown key 'seed'"):
+        parse_job(line.replace(" index=", " seed=0 index="))
+    with pytest.raises(ValueError, match="unknown key 'x'"):
+        parse_job("x " + line)
+    with pytest.raises(ValueError, match="force_level0 must be 0 or 1"):
+        parse_job(line.replace("force_level0=0", "force_level0=yes"))
 
 
 def test_merge_validation():
