@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from math import factorial
 
@@ -21,6 +20,7 @@ from .fpg import enumerate_pairings, format_pairing, graph_summary
 from .search import (
     CensusResult,
     SearchConfig,
+    check_coverage,
     enumerate_census,
     format_job,
     load_backend,
@@ -33,7 +33,6 @@ from .search import (
     stats_csv,
     summary_line,
 )
-from .validate import build_links, check_edges
 
 
 def _add_census_flags(p: argparse.ArgumentParser) -> None:
@@ -77,6 +76,8 @@ def _cmd_census(args) -> int:
         depth = args.depth if args.depth is not None else 0
         jobs, partial = split_jobs(config, depth)
         if args.threads > 1:
+            # imported here: loading multiprocessing slows every other command
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=args.threads) as pool:
                 results = list(pool.map(run_job, jobs))
         else:
@@ -125,12 +126,8 @@ def _read_lines(path: str | None) -> list[str]:
 
 
 def _cmd_run_job(args) -> int:
-    results = []
-    for line in _read_lines(getattr(args, "in")):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        results.append(run_job(parse_job(line)))
+    results = [run_job(parse_job(line))
+               for line in _job_lines(_read_lines(getattr(args, "in")))]
     if not results:
         raise ValueError("no job lines found")
     merged = merge(results)
@@ -144,14 +141,20 @@ def _cmd_run_job(args) -> int:
     return 0
 
 
+def _job_lines(lines: list[str]) -> list[str]:
+    return [line for line in map(str.strip, lines)
+            if line and not line.startswith("#")]
+
+
 def _cmd_merge(args) -> int:
     results = []
+    jobs = None
     if args.jobs:
-        with open(args.jobs) as fh:
-            head = fh.readline()
+        head, *lines = _read_lines(args.jobs) or [""]
         if not head.startswith("# partial "):
             raise ValueError(f"{args.jobs} has no partial-result header")
         results.append(result_from_dict(json.loads(head[len("# partial "):])))
+        jobs = [parse_job(line) for line in _job_lines(lines)]
     for path in args.results:
         with open(path) as fh:
             for line in fh:
@@ -159,6 +162,8 @@ def _cmd_merge(args) -> int:
                 if line:
                     results.append(result_from_dict(json.loads(line)))
     merged = merge(results)
+    if jobs is not None:
+        check_coverage(merged, jobs)
     _emit_result(merged, args)
     return 0
 
@@ -204,6 +209,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .validate import build_links, check_edges
+
     bad_parse = False
     for k, line in enumerate(_read_lines(getattr(args, "in"))):
         line = line.strip()

@@ -41,6 +41,11 @@ class ParseError(ValueError):
     pass
 
 
+#: _PARTNER_FACE[f][pi]: the face that Perm4 pi carries face f onto
+_PARTNER_FACE = [[FACE_OPPOSITE.index(PERM4_IMAGES[pi][FACE_OPPOSITE[f]])
+                  for pi in range(24)] for f in range(4)]
+
+
 class Triangulation:
     """Mutable gluing table over n tetrahedra.
 
@@ -129,16 +134,8 @@ class Triangulation:
 
 
 def serialize(tri: Triangulation) -> str:
-    groups = []
-    for t in range(tri.n):
-        toks = []
-        for f in range(4):
-            s = 4 * t + f
-            if tri.adj[s] == -1:
-                toks.append("-")
-            else:
-                toks.append(f"{tri.adj[s] // 4}:{tri.perm[s]}")
-        groups.append(" ".join(toks))
+    toks = ["-" if d == -1 else f"{d // 4}:{p}" for d, p in zip(tri.adj, tri.perm)]
+    groups = (" ".join(toks[i:i + 4]) for i in range(0, len(toks), 4))
     return f"{tri.n} ; " + " ; ".join(groups)
 
 
@@ -177,8 +174,7 @@ def parse_table(text: str) -> Triangulation:
     for s, (dt, pi) in seen.items():
         if s in done:
             continue
-        images = PERM4_IMAGES[pi]
-        df = FACE_OPPOSITE.index(images[FACE_OPPOSITE[s % 4]])
+        df = _PARTNER_FACE[s % 4][pi]
         d = 4 * dt + df
         if d == s:
             raise ParseError(f"slot {s // 4}:{s % 4}: glued to itself")
@@ -477,22 +473,38 @@ def iso_signature(tri: Triangulation) -> str:
     return sequence_signature(tri.n, canonical_sequence(tri.n, tri.adj, tri.perm))
 
 
+#: base-36 digit -> value
+_DIGIT_VALUE = {c: v for v, c in enumerate(_DIGITS)}
+
+
 def decode_signature(sig: str) -> Triangulation:
-    """Rebuild the canonical triangulation an iso_signature encodes."""
+    """Rebuild the canonical triangulation an iso_signature encodes.
+
+    Every slot's digits are checked against its partner's, which must
+    read back as the reverse gluing; anything else raises ParseError.
+    """
     head, _, body = sig.partition(";")
+    if not head.isdigit() or int(head) < 1:
+        raise ParseError("signature must start with a positive tetrahedron count")
     n = int(head)
     if len(body) != 8 * n:
         raise ParseError(f"signature body must have {8 * n} digits")
+    try:
+        digits = [_DIGIT_VALUE[c] for c in body]
+    except KeyError as e:
+        raise ParseError(f"bad signature digit {e.args[0]!r}") from None
     tri = Triangulation(n)
+    adj, perm = tri.adj, tri.perm
     for s in range(4 * n):
-        dt = _DIGITS.index(body[2 * s])
-        pi = _DIGITS.index(body[2 * s + 1])
-        if tri.adj[s] != -1:
-            continue
-        images = PERM4_IMAGES[pi]
-        df = FACE_OPPOSITE.index(images[FACE_OPPOSITE[s % 4]])
-        tri.glue(FaceSlot.from_index(s), FaceSlot(dt, df), pi)
-    tri.audit()
-    if not tri.is_complete():
-        raise ParseError("signature does not describe a complete gluing")
+        dt, pi = digits[2 * s], digits[2 * s + 1]
+        if dt >= n or pi >= 24:
+            raise ParseError(f"slot {s // 4}:{s % 4}: gluing {dt}:{pi} out of range")
+        d = 4 * dt + _PARTNER_FACE[s % 4][pi]
+        if d == s:
+            raise ParseError(f"slot {s // 4}:{s % 4}: glued to itself")
+        if digits[2 * d] != s // 4 or digits[2 * d + 1] != PERM4_INV[pi]:
+            raise ParseError(f"slot {s // 4}:{s % 4}: partner {dt}:{d % 4} "
+                             "does not glue back")
+        adj[s] = d
+        perm[s] = pi
     return tri

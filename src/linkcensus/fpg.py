@@ -10,13 +10,18 @@ lexicographically least over that action.
 Enumeration extends the matching one slot at a time, always pairing the
 lowest unpaired slot.  In a canonical pairing new tetrahedra appear in
 increasing order and a partner entering a tetrahedron takes its lowest
-unpaired slot, so only such extensions are generated; completed matchings
-are then filtered down to canonical connected representatives.
+unpaired slot, so only such extensions are generated.  The generation is
+orderly (McKay, "Isomorph-free exhaustive generation", 1998): with s the
+lowest unpaired slot, the prefix fp[:s] is final, so a subtree is dropped
+as soon as some relabelling makes that prefix smaller, or once every slot
+of the tetrahedra reached so far is paired before all n have appeared (no
+completion is connected).  Completed matchings still pass `is_connected`
+and `is_canonical`.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator, Sequence
 
 Pairing = tuple[int, ...]
 
@@ -145,25 +150,26 @@ def canonical_form(fp: Pairing) -> Pairing:
     return tuple(best)
 
 
-def is_canonical(fp: Pairing) -> bool:
-    """True when no relabelling yields a smaller partner sequence.
+def _relabelling_beats(fp: Sequence[int], limit: int) -> bool:
+    """True when some relabelling makes the prefix fp[:limit] smaller.
 
-    Same lazy scan as canonical_form, but compared against fp itself:
-    a branch exceeding fp's prefix is dropped, one dipping below proves
-    fp non-canonical and aborts the whole search.  Equality branches are
-    automorphisms and run to completion without effect.
+    Same lazy scan as canonical_form, but compared against fp itself: a
+    branch exceeding fp's prefix is dropped, one dipping below it proves
+    the claim and aborts the whole search, and one that stays equal up to
+    `limit` has no effect.  fp may be a partial matching with -1 for the
+    unpaired slots, as long as its first `limit` entries are set: a branch
+    that reads an unpaired slot is undecided and dropped, so a True
+    verdict holds for every completion of fp.
     """
-    fp = tuple(fp)
     n = len(fp) // 4
-    total = 4 * n
-    tetmap = [-1] * n      # old tet -> new index
-    inv: list[int] = []    # new index -> old tet
-    labels = [-1] * total  # old slot -> label
-    lab_inv = [-1] * total # 4 * old tet + label -> old slot
+    tetmap = [-1] * n         # old tet -> new index
+    inv: list[int] = []       # new index -> old tet
+    labels = [-1] * (4 * n)   # old slot -> label
+    lab_inv = [-1] * (4 * n)  # 4 * old tet + label -> old slot
 
     def scan(q: int) -> bool:
-        """True if some completion of the current prefix beats fp."""
-        if q == total:
+        """True if some completion of the current relabelling beats fp."""
+        if q == limit:
             return False
         u, g = divmod(q, 4)
         if u == len(inv):
@@ -182,12 +188,14 @@ def is_canonical(fp: Pairing) -> bool:
         options = ([forced] if forced != -1 else
                    [4 * tau + f for f in range(4) if labels[4 * tau + f] == -1])
         for s_old in options:
+            p_old = fp[s_old]
+            if p_old < 0:
+                continue
             undo_label = labels[s_old] == -1
             if undo_label:
                 labels[s_old] = g
                 lab_inv[4 * tau + g] = s_old
-            p_old = fp[s_old]
-            pt, pf = divmod(p_old, 4)
+            pt = p_old // 4
             undo_tet = tetmap[pt] == -1
             if undo_tet:
                 tetmap[pt] = len(inv)
@@ -220,37 +228,55 @@ def is_canonical(fp: Pairing) -> bool:
         tetmap[start] = -1
         inv.pop()
         if beaten:
-            return False
-    return True
+            return True
+    return False
+
+
+def is_canonical(fp: Pairing) -> bool:
+    """True when no relabelling yields a smaller partner sequence.
+
+    Equality branches of the scan are automorphisms and run to completion
+    without effect.
+    """
+    return not _relabelling_beats(fp, len(fp))
 
 
 def enumerate_pairings(n: int) -> Iterator[Pairing]:
-    """Canonical connected pairings on n tetrahedra in ascending order."""
+    """Canonical connected pairings on n tetrahedra in ascending order.
+
+    Depth-first order is ascending: the first slot in which two matchings
+    differ is paired at the same node of the search in both, and that
+    node tries partners in increasing order.
+    """
     if n < 1:
         return
-    fp = [-1] * (4 * n)
+    total = 4 * n
+    fp = [-1] * total
     found: list[Pairing] = []
 
-    def extend(maxtet: int) -> None:
-        s = next((i for i, p in enumerate(fp) if p < 0), -1)
-        if s < 0:
+    def extend(s: int, reached: int) -> None:
+        """Pair the lowest unpaired slot at or after s; tetrahedra
+        0..reached-1 are the ones the matching has reached."""
+        while s < total and fp[s] >= 0:
+            s += 1
+        if s == total:
             done = tuple(fp)
             if is_connected(done) and is_canonical(done):
                 found.append(done)
             return
-        t = s // 4
-        cap = min(max(maxtet, t) + 1, n - 1)
-        for u in range(t, cap + 1):
+        # the reached tetrahedra are closed off, or fp[:s] is not minimal
+        if s == 4 * reached or _relabelling_beats(fp, s):
+            return
+        for u in range(s // 4, min(reached, n - 1) + 1):
             c = next((4 * u + k for k in range(4)
                       if fp[4 * u + k] < 0 and 4 * u + k != s), -1)
             if c < 0:
                 continue
             fp[s], fp[c] = c, s
-            extend(max(maxtet, u))
+            extend(s + 1, max(reached, u + 1))
             fp[s], fp[c] = -1, -1
 
-    extend(-1)
-    found.sort()
+    extend(0, 1)
     yield from found
 
 

@@ -10,9 +10,8 @@ tree into replayable jobs, and merging partial results exactly.
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 
-from . import _engine_py
 from .fpg import enumerate_pairings, format_pairing, parse_pairing
 from .perms import GLUING_PERMS
 
@@ -40,6 +39,7 @@ def load_backend(name: str | None = None):
             if name == "fast":
                 raise RuntimeError(
                     "compiled engine requested but not built") from exc
+    from . import _engine_py
     return _engine_py
 
 
@@ -91,10 +91,19 @@ class PairingRow:
         return len(self.orient_sigs) + len(self.nonor_sigs)
 
 
+#: a split job's id: its pairing index and gluing prefix
+JobId = tuple[int, tuple[int, ...]]
+
+
 @dataclass(frozen=True)
 class CensusResult:
+    """Per-pairing rows of a census or part of one.  `jobs` holds the ids
+    of the split jobs the result covers; it takes no part in equality, so
+    a merged split run equals the monolithic census."""
+
     config: SearchConfig
     rows: tuple[PairingRow, ...]
+    jobs: tuple[JobId, ...] = field(default=(), compare=False)
 
     @property
     def total(self) -> int:
@@ -145,6 +154,10 @@ class JobDescriptor:
     pairing_index: int
     pairing: tuple[int, ...]
     prefix: tuple[int, ...]
+
+    @property
+    def id(self) -> JobId:
+        return self.pairing_index, tuple(self.prefix)
 
 
 def _row_from_raw(index: int, raw: dict) -> PairingRow:
@@ -205,16 +218,38 @@ def run_job(job: JobDescriptor, backend: str | None = None) -> CensusResult:
     eng = load_backend(backend)
     raw = eng.search_pairing(job.config.n, job.config.mode, job.config.level,
                              0, job.pairing, prefix=job.prefix)
-    return CensusResult(job.config, (_row_from_raw(job.pairing_index, raw),))
+    return CensusResult(job.config, (_row_from_raw(job.pairing_index, raw),),
+                        (job.id,))
+
+
+def _name_jobs(ids: list[JobId], limit: int = 5) -> str:
+    names = [f"pairing {index} prefix {','.join(map(str, prefix)) or '-'}"
+             for index, prefix in ids[:limit]]
+    more = f" and {len(ids) - limit} more" if len(ids) > limit else ""
+    return "; ".join(names) + more
 
 
 def merge(results: list[CensusResult]) -> CensusResult:
-    """Exact union of partial results: counts add, signature sets union."""
+    """Exact union of partial results: counts add, signature sets union.
+
+    A job covered by more than one result, or lying inside another job's
+    subtree (parts of splits at two depths), raises ValueError, since its
+    counts would add twice.
+    """
     if not results:
         raise ValueError("nothing to merge")
     config = results[0].config
     if any(r.config != config for r in results):
         raise ValueError("cannot merge results from different configurations")
+    jobs: set[JobId] = set()
+    for job in (job for res in results for job in res.jobs):
+        if job in jobs:
+            raise ValueError(f"job covered twice: {_name_jobs([job])}")
+        jobs.add(job)
+    nested = [(index, prefix) for index, prefix in jobs
+              if any((index, prefix[:k]) in jobs for k in range(len(prefix)))]
+    if nested:
+        raise ValueError(f"job lies inside another job: {_name_jobs(sorted(nested))}")
     by_index: dict[int, list[PairingRow]] = {}
     for res in results:
         for row in res.rows:
@@ -237,7 +272,21 @@ def merge(results: list[CensusResult]) -> CensusResult:
             orient_sigs=tuple(sorted(orient)),
             nonor_sigs=tuple(sorted(nonor)),
         ))
-    return CensusResult(config, tuple(rows))
+    return CensusResult(config, tuple(rows), tuple(sorted(jobs)))
+
+
+def check_coverage(result: CensusResult, jobs: list[JobDescriptor]) -> None:
+    """Raise ValueError unless `result` covers exactly the given jobs."""
+    want = {job.id for job in jobs}
+    got = set(result.jobs)
+    missing = sorted(want - got)
+    if missing:
+        raise ValueError(f"{len(missing)} of {len(want)} jobs have no result: "
+                         + _name_jobs(missing))
+    extra = sorted(got - want)
+    if extra:
+        raise ValueError(f"{len(extra)} results cover jobs not in the jobs "
+                         "file: " + _name_jobs(extra))
 
 
 def summary_line(result: CensusResult) -> str:
@@ -264,21 +313,29 @@ def result_to_dict(result: CensusResult) -> dict:
              r.leaves, list(r.orient_sigs), list(r.nonor_sigs)]
             for r in result.rows
         ],
+        "jobs": [[index, list(prefix)] for index, prefix in result.jobs],
     }
 
 
 def result_from_dict(data: dict) -> CensusResult:
-    if not isinstance(data, dict) or set(data) != {"config", "rows"}:
-        raise ValueError("a result must be an object with config and rows")
+    if not isinstance(data, dict) or not {"config", "rows"} <= set(data):
+        raise ValueError("a result must be an object with jobs, config and rows")
     keys = set(data["config"])
     if keys != CONFIG_KEYS:
         raise ValueError(f"result config has keys {sorted(keys)}, "
                          f"expected {sorted(CONFIG_KEYS)}")
-    if any(len(row) != 8 for row in data["rows"]):
-        raise ValueError("result rows must have 8 columns")
-    rows = tuple(PairingRow(*row[:6], tuple(row[6]), tuple(row[7]))
-                 for row in data["rows"])
-    return CensusResult(SearchConfig(**data["config"]), rows)
+    if set(data) != {"config", "rows", "jobs"}:
+        raise ValueError(f"result has keys {sorted(data)}, "
+                         "expected ['config', 'jobs', 'rows']")
+    try:
+        if any(len(row) != 8 for row in data["rows"]):
+            raise ValueError("result rows must have 8 columns")
+        rows = tuple(PairingRow(*row[:6], tuple(row[6]), tuple(row[7]))
+                     for row in data["rows"])
+        jobs = tuple((index, tuple(prefix)) for index, prefix in data["jobs"])
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"malformed result: {e}") from None
+    return CensusResult(SearchConfig(**data["config"]), rows, jobs)
 
 
 def format_job(job: JobDescriptor) -> str:

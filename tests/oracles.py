@@ -14,6 +14,7 @@ import random
 
 from linkcensus.core import Triangulation
 from linkcensus.dsu import Outcome, SignedDsu
+from linkcensus.fpg import is_canonical, is_connected
 from linkcensus.linktrack import GlueOutcome, LinkState
 from linkcensus.perms import GLUING_PERMS, FaceSlot
 from linkcensus.skiplist import CyclicSkipList
@@ -375,6 +376,39 @@ def brute_minimum(fp):
             if best is None or cand < best:
                 best = cand
     return best
+
+
+def filtered_pairings(n):
+    """Canonical connected pairings by generate-then-filter, ascending.
+
+    Extends the matching at its lowest unpaired slot with new tetrahedra in
+    increasing order and partners at their tetrahedron's lowest unpaired
+    slot, and tests connectivity and canonicity only on completed
+    matchings.
+    """
+    fp = [-1] * (4 * n)
+    found = []
+
+    def extend(maxtet):
+        s = next((i for i, p in enumerate(fp) if p < 0), -1)
+        if s < 0:
+            done = tuple(fp)
+            if is_connected(done) and is_canonical(done):
+                found.append(done)
+            return
+        t = s // 4
+        cap = min(max(maxtet, t) + 1, n - 1)
+        for u in range(t, cap + 1):
+            c = next((4 * u + k for k in range(4)
+                      if fp[4 * u + k] < 0 and 4 * u + k != s), -1)
+            if c < 0:
+                continue
+            fp[s], fp[c] = c, s
+            extend(max(maxtet, u))
+            fp[s], fp[c] = -1, -1
+
+    extend(-1)
+    return sorted(found)
 
 
 def random_pairing(n, rng):

@@ -2,9 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import linkcensus
 from conftest import census
 from linkcensus.cli import lower_bound, main
 from linkcensus.core import (
@@ -118,6 +123,73 @@ def test_merge_rejects_headerless_jobs_file(tmp_path, capsys):
     rc, _, err = run_cli(capsys, "merge", str(old))
     assert rc == 1
     assert err.startswith("error: result config has keys")
+
+
+def _n3_split(tmp_path, capsys):
+    """n=3 split at depth 1 (15 jobs), a part with 3 of them, and all."""
+    jobs_path = tmp_path / "jobs.txt"
+    rc, _, _ = run_cli(capsys, "jobs", "--size", "3", "--depth", "1",
+                       "--out", str(jobs_path))
+    assert rc == 0
+    head, *lines = jobs_path.read_text().splitlines()
+    assert len(lines) == 15
+    three = tmp_path / "three.txt"
+    three.write_text("\n".join(lines[:3]) + "\n")
+    paths = []
+    for name, jobs in (("p3.json", three), ("all.json", jobs_path)):
+        rc, _, _ = run_cli(capsys, "run-job", "--in", str(jobs),
+                           "--out", str(tmp_path / name))
+        assert rc == 0
+        paths.append(str(tmp_path / name))
+    return str(jobs_path), *paths
+
+
+def test_merge_refuses_a_partial_census(tmp_path, capsys):
+    jobs, part, _ = _n3_split(tmp_path, capsys)
+    rc, out, err = run_cli(capsys, "merge", part, "--jobs", jobs)
+    assert rc == 1 and out == ""
+    assert err.startswith("error: 12 of 15 jobs have no result: pairing ")
+    assert "and 7 more" in err
+
+
+def test_merge_refuses_a_part_given_twice(tmp_path, capsys):
+    jobs, _, full = _n3_split(tmp_path, capsys)
+    rc, out, _ = run_cli(capsys, "merge", full, "--jobs", jobs, "--sigs")
+    assert rc == 0
+    assert out.splitlines()[-1] == (
+        f"n=3 mode=all total=81 orientable=76 nonorientable=5 nodes={census(3).nodes}")
+    for argv in ([full, full, "--jobs", jobs], [full, full]):
+        rc, out, err = run_cli(capsys, "merge", *argv)
+        assert rc == 1 and out == ""
+        assert err.startswith("error: job covered twice: pairing ")
+
+
+def test_merge_rejects_an_inconsistent_signature(tmp_path, capsys):
+    # an n=5 census signature whose slot 0:1 no longer glues back to 0:0
+    tampered = "5;0102101020240000103013403d203a4m3h424220"
+    part = tmp_path / "part.json"
+    part.write_text(json.dumps({
+        "config": {"n": 5, "mode": "all", "level": 2, "force_level0": False},
+        "rows": [[0, 1, 0, 0, 0, 1, [tampered], []]],
+        "jobs": [],
+    }) + "\n")
+    rc, _, err = run_cli(capsys, "merge", str(part), "--sigs")
+    assert rc == 0
+    rc, out, err = run_cli(capsys, "merge", str(part))
+    assert rc == 1 and out == ""
+    assert err.startswith("error: slot 0:0: partner 0:1 does not glue back")
+
+
+def test_cli_import_leaves_heavy_modules_unloaded():
+    code = ("import sys, linkcensus.cli; print(' '.join(m for m in ("
+            "'concurrent.futures.process', 'multiprocessing', "
+            "'linkcensus._engine_py', 'linkcensus.validate') if m in sys.modules))")
+    src = str(Path(linkcensus.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=env)
+    assert proc.stdout.strip() == ""
 
 
 def _reversed_edge_table() -> str:

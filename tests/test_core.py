@@ -204,3 +204,16 @@ def test_decode_signature_errors():
         decode_signature("1;0000")  # truncated body
     with pytest.raises(ValueError):
         decode_signature("not a signature")
+    with pytest.raises(ParseError, match="positive"):
+        decode_signature("0;")
+    with pytest.raises(ParseError, match="bad signature digit"):
+        decode_signature("1;0_000000")
+    with pytest.raises(ParseError, match="out of range"):
+        decode_signature("1;10000000")  # partner tetrahedron 1 of 1
+    # an n=5 census signature with the perm digit of slot 0:1, the later
+    # slot of its pair, changed from 1 to 2: the pair no longer agrees
+    good = "5;0101101020240000103013403d203a4m3h424220"
+    tampered = "5;0102101020240000103013403d203a4m3h424220"
+    assert iso_signature(decode_signature(good)) == good
+    with pytest.raises(ParseError, match="does not glue back"):
+        decode_signature(tampered)

@@ -16,10 +16,10 @@ from linkcensus.fpg import (
     pairs_of,
     parse_pairing,
 )
-from oracles import apply_relabel, brute_minimum, random_pairing
+from oracles import apply_relabel, brute_minimum, filtered_pairings, random_pairing
 
 # connected pairing classes by size, pinned by the brute orbit scan below
-PAIRING_COUNTS = {1: 1, 2: 2, 3: 4, 4: 10, 5: 28}
+PAIRING_COUNTS = {1: 1, 2: 2, 3: 4, 4: 10, 5: 28, 6: 97, 7: 359}
 
 
 def test_canonical_form_matches_orbit_minimum():
@@ -47,7 +47,7 @@ def test_canonical_form_is_orbit_invariant():
         assert canonical_form(fp) == canonical_form(apply_relabel(fp, rho, pis))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_enumeration_is_sorted_canonical_connected(n):
     seen = list(enumerate_pairings(n))
     assert len(seen) == PAIRING_COUNTS[n]
@@ -59,14 +59,20 @@ def test_enumeration_is_sorted_canonical_connected(n):
         assert canonical_form(fp) == fp
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_orderly_enumeration_matches_filtered(n):
+    assert list(enumerate_pairings(n)) == filtered_pairings(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_enumeration_matches_exhaustive_scan(n):
     def all_pairings():
         def rec(fp, out):
             try:
                 s = fp.index(-1)
             except ValueError:
-                out.add(canonical_form(tuple(fp)))
+                if is_connected(fp):
+                    out.add(canonical_form(tuple(fp)))
                 return
             for c in range(s + 1, 4 * n):
                 if fp[c] == -1:
@@ -75,7 +81,7 @@ def test_enumeration_matches_exhaustive_scan(n):
                     fp[s], fp[c] = -1, -1
         out = set()
         rec([-1] * (4 * n), out)
-        return {fp for fp in out if is_connected(fp)}
+        return out
 
     assert set(enumerate_pairings(n)) == all_pairings()
 

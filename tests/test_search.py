@@ -1,8 +1,11 @@
 """Census search: totals, levels, backends, job splitting, formats."""
 
 import collections
+import functools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import census, fast_backend_available, needs_fast
 from linkcensus.core import decode_signature, is_orientable
@@ -11,6 +14,7 @@ from linkcensus.perms import GLUING_PERMS
 from linkcensus.search import (
     JobDescriptor,
     SearchConfig,
+    check_coverage,
     enumerate_census,
     format_job,
     load_backend,
@@ -214,6 +218,16 @@ def test_result_dict_roundtrip():
     with pytest.raises(ValueError, match="8 columns"):
         result_from_dict({**data, "rows": [row[:6] + [24] + row[6:]
                                            for row in data["rows"]]})
+    # a result without job ids cannot be checked for exactly-once merging
+    with pytest.raises(ValueError, match="expected \\['config', 'jobs', 'rows'\\]"):
+        result_from_dict({"config": data["config"], "rows": data["rows"]})
+    for rows, jobs in (([5], []), ([], [[0]]), ([], [[0, 5]])):
+        with pytest.raises(ValueError, match="malformed result"):
+            result_from_dict({**data, "rows": rows, "jobs": jobs})
+    jobs, _ = split_jobs(SearchConfig(n=2), 1)
+    part = merge([run_job(job) for job in jobs])
+    back = result_from_dict(result_to_dict(part))
+    assert back == part and back.jobs == part.jobs == tuple(j.id for j in jobs)
 
 
 def test_job_line_roundtrip():
@@ -249,8 +263,47 @@ def test_job_line_rejects_tampering():
         parse_job(line.replace("force_level0=0", "force_level0=yes"))
 
 
+@functools.lru_cache(maxsize=None)
+def _n3_jobs():
+    jobs, partial = split_jobs(SearchConfig(n=3), 1)
+    return jobs, partial, [run_job(job) for job in jobs]
+
+
+@given(st.lists(st.frozensets(st.integers(0, 2), max_size=2),
+                min_size=15, max_size=15))
+@example([frozenset({k % 3}) for k in range(15)])  # every job once
+@settings(max_examples=80, deadline=None)
+def test_merge_counts_every_job_exactly_once(homes):
+    """Jobs dealt to up to three parts: some to none, some to two."""
+    jobs, partial, results = _n3_jobs()
+    assert len(jobs) == 15
+    parts = [merge([r for r, home in zip(results, homes) if k in home])
+             for k in range(3) if any(k in home for home in homes)]
+    if any(len(home) > 1 for home in homes):
+        with pytest.raises(ValueError, match="covered twice"):
+            merge([partial] + parts)
+        return
+    merged = merge([partial] + parts)
+    covered = [job for job, home in zip(jobs, homes) if home]
+    check_coverage(merged, covered)
+    if all(homes):
+        assert merged == census(3)
+    else:
+        with pytest.raises(ValueError, match="have no result"):
+            check_coverage(merged, jobs)
+    if covered:
+        with pytest.raises(ValueError, match="not in the jobs file"):
+            check_coverage(merged, covered[1:])
+
+
 def test_merge_validation():
     with pytest.raises(ValueError):
         merge([])
+    # parts of splits at depths 1 and 2 would count depth-2 subtrees twice
+    config = SearchConfig(n=2)
+    shallow, deep = (merge([run_job(job) for job in split_jobs(config, depth)[0]])
+                     for depth in (1, 2))
+    with pytest.raises(ValueError, match="inside another job"):
+        merge([shallow, deep])
     with pytest.raises(ValueError, match="different configurations"):
         merge([census(1), census(2)])
