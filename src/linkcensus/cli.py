@@ -1,9 +1,13 @@
 """Command-line surface.
 
 Subcommands: census, fpg, jobs, run-job, merge, bench, validate, bound.
-Flag conventions are shared across subcommands; `LINKCENSUS_BACKEND`
-picks the engine.  Exit codes: 0 success, 1 internal contract violation
-(with a diagnostic on stderr), 2 usage error.
+Every census runs as jobs: `census` splits the search at `--depth`, runs
+the jobs in process (or in a pool of `--threads` workers), merges them
+and checks that each job is counted exactly once; `jobs`, `run-job` and
+`merge` do the same across separate processes.  Flag conventions are
+shared across subcommands; `LINKCENSUS_BACKEND` picks the engine.  Exit
+codes: 0 success, 1 internal contract violation (with a diagnostic on
+stderr), 2 usage error.
 """
 
 from __future__ import annotations
@@ -40,13 +44,17 @@ def _add_census_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=("all", "orientable", "nonorientable"),
                    default="all")
     p.add_argument("--pruning", type=int, choices=(0, 1, 2), default=2)
-    p.add_argument("--force-level0", action="store_true",
-                   help="lift the size gate on pruning level 0")
+
+
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
 
 
 def _config(args) -> SearchConfig:
-    return SearchConfig(n=args.size, mode=args.mode, level=args.pruning,
-                        force_level0=args.force_level0)
+    return SearchConfig(n=args.size, mode=args.mode, level=args.pruning)
 
 
 def _open_out(path: str | None):
@@ -71,20 +79,16 @@ def _emit_result(result: CensusResult, args) -> None:
 
 
 def _cmd_census(args) -> int:
-    config = _config(args)
-    if args.threads > 1 or args.depth is not None:
-        depth = args.depth if args.depth is not None else 0
-        jobs, partial = split_jobs(config, depth)
-        if args.threads > 1:
-            # imported here: loading multiprocessing slows every other command
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=args.threads) as pool:
-                results = list(pool.map(run_job, jobs))
-        else:
-            results = [run_job(job) for job in jobs]
-        result = merge([partial] + results)
+    jobs, partial = split_jobs(_config(args), args.depth)
+    if args.threads > 1:
+        # imported here: loading multiprocessing slows every other command
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=args.threads) as pool:
+            results = list(pool.map(run_job, jobs))
     else:
-        result = enumerate_census(config)
+        results = [run_job(job) for job in jobs]
+    result = merge([partial, *results])
+    check_coverage(result, jobs)
     _emit_result(result, args)
     return 0
 
@@ -275,9 +279,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="enumerate triangulations")
     _add_census_flags(p)
     p.add_argument("--out", metavar="PATH", default=None)
-    p.add_argument("--depth", type=int, default=None, metavar="D",
-                   help="split/replay depth (implied 0 with --threads)")
-    p.add_argument("--threads", type=int, default=1, metavar="T")
+    p.add_argument("--depth", type=int, default=0, metavar="D",
+                   help="glued pairs above each job (default 0: one job "
+                   "per pairing)")
+    p.add_argument("--threads", type=_positive, default=1, metavar="T")
     p.add_argument("--sigs", action="store_true",
                    help="emit signatures instead of gluing tables")
     p.add_argument("--stats", metavar="PATH", default=None)

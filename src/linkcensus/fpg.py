@@ -66,94 +66,13 @@ def is_connected(fp: Pairing) -> bool:
     return sum(1 for t in range(n) if find(t) == t) == 1
 
 
-def canonical_form(fp: Pairing) -> Pairing:
-    """Lexicographically least relabelling of fp.
-
-    Tetrahedron indices and slot labels are assigned lazily while scanning
-    output positions in order: a partner in a fresh tetrahedron forces the
-    next index, an unlabelled partner slot forces the lowest free label.
-    Only the choice of which old slot occupies the position being scanned
-    can branch, and branches that cannot stay minimal are cut against the
-    best complete sequence found so far.
-    """
-    fp = tuple(fp)
-    n = len(fp) // 4
-    total = 4 * n
-    best: list[int] | None = None
-
-    # tetmap: old tet -> new index; inv: new index -> old tet
-    # labels: old slot -> new label; lab_inv: (old tet, label) -> old slot
-    def scan(q: int, seq: list[int], tight: bool, tetmap: dict, inv: list,
-             labels: dict, lab_inv: dict) -> None:
-        nonlocal best
-        if q == total:
-            if best is None or seq < best:
-                best = list(seq)
-            return
-        u, g = divmod(q, 4)
-        if u == len(inv):
-            # only reachable on disconnected input: open the next component
-            for tau in range(n):
-                if tau not in tetmap:
-                    tm = dict(tetmap)
-                    tm[tau] = u
-                    scan(q, seq, tight, tm, inv + [tau], labels, lab_inv)
-            return
-        tau = inv[u]
-        forced = lab_inv.get((tau, g))
-        if forced is not None:
-            options = [forced]
-        else:
-            options = [4 * tau + f for f in range(4) if 4 * tau + f not in labels]
-
-        staged = []
-        cheapest = None
-        for s_old in options:
-            tm, iv, lb, li = tetmap, inv, dict(labels), dict(lab_inv)
-            if s_old not in lb:
-                lb[s_old] = g
-                li[(tau, g)] = s_old
-            p_old = fp[s_old]
-            pt, pf = divmod(p_old, 4)
-            if pt not in tm:
-                tm = dict(tm)
-                iv = iv + [pt]
-                tm[pt] = len(inv)
-            plab = lb.get(p_old)
-            if plab is None:
-                plab = next(k for k in range(4) if (pt, k) not in li)
-                lb[p_old] = plab
-                li[(pt, plab)] = p_old
-            value = 4 * tm[pt] + plab
-            if cheapest is None or value < cheapest:
-                cheapest = value
-                staged = []
-            if value == cheapest:
-                staged.append((value, tm, iv, lb, li))
-
-        for value, tm, iv, lb, li in staged:
-            branch_tight = tight
-            if best is not None and branch_tight:
-                if value > best[q]:
-                    continue
-                if value < best[q]:
-                    branch_tight = False
-            seq.append(value)
-            scan(q + 1, seq, branch_tight, tm, iv, lb, li)
-            seq.pop()
-
-    if n == 0:
-        return ()
-    for start in range(n):
-        scan(0, [], True, {start: 0}, [start], {}, {})
-    assert best is not None
-    return tuple(best)
-
-
 def _relabelling_beats(fp: Sequence[int], limit: int) -> bool:
     """True when some relabelling makes the prefix fp[:limit] smaller.
 
-    Same lazy scan as canonical_form, but compared against fp itself: a
+    Tetrahedron indices and slot labels are assigned lazily while scanning
+    output positions in order: a partner in a fresh tetrahedron forces the
+    next index, an unlabelled partner slot forces the lowest free label,
+    and only the old slot placed at the scanned position can branch.  A
     branch exceeding fp's prefix is dropped, one dipping below it proves
     the claim and aborts the whole search, and one that stays equal up to
     `limit` has no effect.  fp may be a partial matching with -1 for the

@@ -150,23 +150,6 @@ class LinkState:
         self.boundary_edges -= 2
         return GlueOutcome.OK
 
-    def glue_link_edges(self, x: tuple[int, int, int], y: tuple[int, int, int],
-                        dirsign: int) -> tuple[GlueOutcome, int | None]:
-        """Glue link edge x = (t, v, f) to y, arrows matching iff dirsign=+1.
-
-        Returns (outcome, token); the token is present only on OK and is
-        consumed by unglue_link_edges.
-        """
-        mark = self._mark()
-        out = self._link_glue(*x, *y, dirsign)
-        if out is not GlueOutcome.OK:
-            self._restore(mark)
-            return out, None
-        return out, self._issue(mark)
-
-    def unglue_link_edges(self, token: int) -> None:
-        self._restore(self._redeem(token))
-
     def glue_faces(self, t1: int, f1: int, t2: int, f2: int,
                    perm: int) -> tuple[GlueOutcome, int | None]:
         """Apply the face gluing (t1, f1) -> (t2, f2) by Perm4 index `perm`.

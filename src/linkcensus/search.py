@@ -45,14 +45,14 @@ def load_backend(name: str | None = None):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """What to enumerate: size, orientability mode and pruning level;
-    `force_level0` lifts the size gate on level 0.  Nothing else changes
-    a census, so the kernels' positional `seed` is always passed 0."""
+    """What to enumerate: size, orientability mode and pruning level.
+    Nothing else changes a census, so the kernels' positional `seed` is
+    always passed 0.  Level 0, the unpruned tree, is refused above
+    LEVEL0_SIZE_CAP."""
 
     n: int
     mode: str = "all"
     level: int = 2
-    force_level0: bool = False
 
     def __post_init__(self):
         if self.n < 1:
@@ -61,16 +61,14 @@ class SearchConfig:
             raise ValueError(f"mode must be one of {MODES}")
         if self.level not in (0, 1, 2):
             raise ValueError("pruning level must be 0, 1 or 2")
-        if self.level == 0 and self.n > LEVEL0_SIZE_CAP and not self.force_level0:
+        if self.level == 0 and self.n > LEVEL0_SIZE_CAP:
             raise ValueError(
-                f"pruning level 0 is gated to n <= {LEVEL0_SIZE_CAP}; "
-                "set force_level0 to override"
-            )
+                f"pruning level 0 is limited to n <= {LEVEL0_SIZE_CAP}")
 
 
 CONFIG_KEYS = {f.name for f in fields(SearchConfig)}
 #: header keys of a job line, in the order format_job writes them
-JOB_KEYS = ("n", "mode", "level", "force_level0", "index")
+JOB_KEYS = ("n", "mode", "level", "index")
 
 
 @dataclass(frozen=True)
@@ -99,7 +97,7 @@ JobId = tuple[int, tuple[int, ...]]
 class CensusResult:
     """Per-pairing rows of a census or part of one.  `jobs` holds the ids
     of the split jobs the result covers; it takes no part in equality, so
-    a merged split run equals the monolithic census."""
+    censuses split at different depths compare equal."""
 
     config: SearchConfig
     rows: tuple[PairingRow, ...]
@@ -174,14 +172,10 @@ def _row_from_raw(index: int, raw: dict) -> PairingRow:
 
 
 def enumerate_census(config: SearchConfig, backend: str | None = None) -> CensusResult:
-    """Full census at the configured size: every canonical pairing in order."""
-    eng = load_backend(backend)
-    rows = []
-    for index, pairing in enumerate(enumerate_pairings(config.n)):
-        raw = eng.search_pairing(config.n, config.mode, config.level,
-                                 0, pairing)
-        rows.append(_row_from_raw(index, raw))
-    return CensusResult(config, tuple(rows))
+    """Full census at the configured size: split at depth 0 (one job per
+    canonical pairing), run every job, merge."""
+    jobs, partial = split_jobs(config, 0, backend)
+    return merge([partial, *(run_job(job, backend) for job in jobs)])
 
 
 def split_jobs(config: SearchConfig, depth: int,
@@ -191,8 +185,8 @@ def split_jobs(config: SearchConfig, depth: int,
     Returns the surviving frontier as job descriptors plus a partial
     result holding everything decided above the frontier (attempt counts,
     and leaves in case depth exceeds the tree height).  Merging the
-    partial with all job results reproduces the monolithic census
-    exactly; the jobs alone already carry every emitted triangulation.
+    partial with all job results reproduces the census exactly, at
+    any depth; the jobs alone already carry every emitted triangulation.
     """
     if depth < 0:
         raise ValueError("split depth must be nonnegative")
@@ -317,31 +311,59 @@ def result_to_dict(result: CensusResult) -> dict:
     }
 
 
+def _is_count(x) -> bool:
+    return type(x) is int and x >= 0
+
+
+def _is_list_of(xs, ok) -> bool:
+    return type(xs) is list and all(map(ok, xs))
+
+
+def _is_row(row) -> bool:
+    """[index, five counts, orientable sigs, non-orientable sigs]"""
+    return (type(row) is list and len(row) == 8
+            and all(map(_is_count, row[:6]))
+            and all(_is_list_of(col, lambda sig: type(sig) is str)
+                    for col in row[6:]))
+
+
+def _is_job(job) -> bool:
+    """[pairing index, gluing prefix]"""
+    return (type(job) is list and len(job) == 2 and _is_count(job[0])
+            and _is_list_of(job[1], _is_count))
+
+
 def result_from_dict(data: dict) -> CensusResult:
+    """Inverse of result_to_dict.  Anything it could not have written
+    raises ValueError before any of it is used."""
     if not isinstance(data, dict) or not {"config", "rows"} <= set(data):
         raise ValueError("a result must be an object with jobs, config and rows")
-    keys = set(data["config"])
+    config = data["config"]
+    keys = set(config) if isinstance(config, dict) else set()
     if keys != CONFIG_KEYS:
         raise ValueError(f"result config has keys {sorted(keys)}, "
                          f"expected {sorted(CONFIG_KEYS)}")
     if set(data) != {"config", "rows", "jobs"}:
         raise ValueError(f"result has keys {sorted(data)}, "
                          "expected ['config', 'jobs', 'rows']")
-    try:
-        if any(len(row) != 8 for row in data["rows"]):
-            raise ValueError("result rows must have 8 columns")
-        rows = tuple(PairingRow(*row[:6], tuple(row[6]), tuple(row[7]))
-                     for row in data["rows"])
-        jobs = tuple((index, tuple(prefix)) for index, prefix in data["jobs"])
-    except (TypeError, ValueError) as e:
-        raise ValueError(f"malformed result: {e}") from None
-    return CensusResult(SearchConfig(**data["config"]), rows, jobs)
+    if not (_is_count(config["n"]) and _is_count(config["level"])
+            and type(config["mode"]) is str):
+        raise ValueError(f"malformed result: config {config}")
+    if not _is_list_of(data["rows"], _is_row):
+        raise ValueError("malformed result: rows must have 8 columns, six "
+                         "non-negative integers and two lists of signatures")
+    if not _is_list_of(data["jobs"], _is_job):
+        raise ValueError("malformed result: jobs must be [index, prefix] "
+                         "pairs of non-negative integers")
+    rows = tuple(PairingRow(*row[:6], tuple(row[6]), tuple(row[7]))
+                 for row in data["rows"])
+    jobs = tuple((index, tuple(prefix)) for index, prefix in data["jobs"])
+    return CensusResult(SearchConfig(**config), rows, jobs)
 
 
 def format_job(job: JobDescriptor) -> str:
     c = job.config
-    head = (f"n={c.n} mode={c.mode} level={c.level} "
-            f"force_level0={int(c.force_level0)} index={job.pairing_index}")
+    head = f"n={c.n} mode={c.mode} level={c.level} index={job.pairing_index}"
     pairs = [(s, p) for s, p in enumerate(job.pairing) if s < p]
     toks = " ".join(f"{pairs[k][0]}={job.pairing[pairs[k][0]] // 4}:{pi}"
                     for k, pi in enumerate(job.prefix))
@@ -359,11 +381,8 @@ def parse_job(line: str) -> JobDescriptor:
     for key in head:
         if key not in JOB_KEYS:
             raise ValueError(f"job line has unknown key {key!r}")
-    if head["force_level0"] not in ("0", "1"):
-        raise ValueError("job line force_level0 must be 0 or 1")
     config = SearchConfig(n=int(head["n"]), mode=head["mode"],
-                          level=int(head["level"]),
-                          force_level0=head["force_level0"] == "1")
+                          level=int(head["level"]))
     index = int(head["index"])
     pn, pairing = parse_pairing(parts[1])
     if pn != config.n:

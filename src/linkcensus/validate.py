@@ -4,7 +4,9 @@ Everything here is written directly against the gluing table with plain
 closures; none of the incremental machinery (signed union-find, cyclic
 skip lists, link tracking) is used.  The point is independence: when the
 fast path and this module agree on thousands of randomized cases, a shared
-systematic bug is unlikely.
+systematic bug is unlikely.  Only the numbering conventions of `perms`
+are shared (faces, edges, link edges and their arrows): a copy of a
+convention would agree with it by construction, so it adds no check.
 """
 
 from __future__ import annotations
@@ -17,27 +19,24 @@ from .perms import (
     EDGE_INDEX,
     EDGE_PAIRS,
     FACE_EDGES,
-    FACE_OPPOSITE,
     FACE_VERTICES,
+    FACES_AT_VERTEX,
     GLUING_PERMS,
+    LINK_ALONG,
     PERM4_IMAGES,
     FaceSlot,
 )
 
-# Faces of a tetrahedron containing vertex v, ascending (all f != 3-v).
-_FACES_AT_VERTEX = tuple(
-    tuple(f for f in range(4) if v in FACE_VERTICES[f]) for v in range(4)
-)
 # Other two vertices of face f besides v, ascending.
 _EDGE_ENDS = {
     (v, f): tuple(w for w in FACE_VERTICES[f] if w != v)
     for v in range(4)
-    for f in _FACES_AT_VERTEX[v]
+    for f in FACES_AT_VERTEX[v]
 }
 
 
 def _link_edge_id(t: int, v: int, f: int) -> int:
-    return 12 * t + 3 * v + _FACES_AT_VERTEX[v].index(f)
+    return 12 * t + 3 * v + FACES_AT_VERTEX[v].index(f)
 
 
 def _corner_id(t: int, v: int, w: int) -> int:
@@ -121,7 +120,7 @@ def build_links(tri: Triangulation) -> list[LinkSurfaceReport]:
         # The arrow of a link edge runs from the lower other-vertex to the
         # higher; the gluing preserves arrows iff the images stay ordered.
         dirsign = 1 if ia < ib else -1
-        rel = -_along(v1, f1) * _along(v2, f2) * dirsign
+        rel = -LINK_ALONG[v1][f1] * LINK_ALONG[v2][f2] * dirsign
         glued[e1] = (e2, rel)
         glued[e2] = (e1, rel)
 
@@ -137,7 +136,7 @@ def build_links(tri: Triangulation) -> list[LinkSurfaceReport]:
         while stack:
             tv = stack.pop()
             t, v = tv // 4, tv % 4
-            for f in _FACES_AT_VERTEX[v]:
+            for f in FACES_AT_VERTEX[v]:
                 pair = glued.get(_link_edge_id(t, v, f))
                 if pair is None:
                     continue
@@ -161,7 +160,7 @@ def build_links(tri: Triangulation) -> list[LinkSurfaceReport]:
     ends_at: dict[int, list[tuple[int, int]]] = {}
     for t in range(n):
         for v in range(4):
-            for f in _FACES_AT_VERTEX[v]:
+            for f in FACES_AT_VERTEX[v]:
                 e = _link_edge_id(t, v, f)
                 if e in glued:
                     continue
@@ -181,7 +180,7 @@ def build_links(tri: Triangulation) -> list[LinkSurfaceReport]:
                 seen_ends.add(cur)
                 e, w = cur
                 t, v = e // 12, (e % 12) // 3
-                f = _FACES_AT_VERTEX[v][e % 3]
+                f = FACES_AT_VERTEX[v][e % 3]
                 a, b = _EDGE_ENDS[(v, f)]
                 other_end = b if w == a else a
                 seen_ends.add((e, other_end))
@@ -197,7 +196,7 @@ def build_links(tri: Triangulation) -> list[LinkSurfaceReport]:
         edge_ids = [
             _link_edge_id(tv // 4, tv % 4, f)
             for tv in members
-            for f in _FACES_AT_VERTEX[tv % 4]
+            for f in FACES_AT_VERTEX[tv % 4]
         ]
         boundary = sum(1 for e in edge_ids if e not in glued)
         interior_pairs = (len(edge_ids) - boundary) // 2
@@ -226,13 +225,6 @@ def build_links(tri: Triangulation) -> list[LinkSurfaceReport]:
             )
         )
     return reports
-
-
-def _along(v: int, f: int) -> int:
-    """+1 when the reference orientation of link triangle (t,v) traverses
-    edge (t,v,f) along its arrow, -1 against."""
-    others = tuple(x for x in range(4) if x != v)
-    return -1 if FACE_OPPOSITE[f] == others[1] else 1
 
 
 def check_edges(tri: Triangulation) -> list[list[tuple[int, int]]]:

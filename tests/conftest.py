@@ -60,8 +60,8 @@ needs_fast = pytest.mark.skipif(
 
 @functools.lru_cache(maxsize=None)
 def census(n: int, mode: str = "all", level: int = 2,
-           backend: str | None = None, force_level0: bool = False) -> CensusResult:
-    config = SearchConfig(n=n, mode=mode, level=level, force_level0=force_level0)
+           backend: str | None = None) -> CensusResult:
+    config = SearchConfig(n=n, mode=mode, level=level)
     return enumerate_census(config, backend=backend)
 
 

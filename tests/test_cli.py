@@ -21,7 +21,12 @@ from linkcensus.core import (
 )
 from linkcensus.fpg import enumerate_pairings, format_pairing
 from linkcensus.perms import GLUING_PERMS, FaceSlot
-from linkcensus.search import result_from_dict
+from linkcensus.search import (
+    result_from_dict,
+    result_to_dict,
+    stats_csv,
+    summary_line,
+)
 from linkcensus.validate import check_edges
 from oracles import TORUS_LINK_ROWS
 
@@ -65,13 +70,18 @@ def test_census_out_and_stats_files(tmp_path, capsys):
     assert len(stats) == 1 + len(census(2).rows)
 
 
-@pytest.mark.parametrize("extra", [[], ["--depth", "1"], ["--threads", "2"]])
+@pytest.mark.parametrize("extra", [[], ["--depth", "2"], ["--threads", "2"],
+                                   ["--depth", "2", "--threads", "2"]])
 def test_census_split_paths_match(tmp_path, capsys, extra):
     out_path = tmp_path / "out.txt"
-    rc, out, _ = run_cli(capsys, "census", "--size", "1", "--sigs",
-                         "--out", str(out_path), *extra)
-    assert rc == 0
-    assert out_path.read_text().splitlines() == census(1).signatures()
+    stats_path = tmp_path / "stats.csv"
+    rc, out, err = run_cli(capsys, "census", "--size", "3", "--sigs",
+                           "--out", str(out_path), "--stats", str(stats_path),
+                           *extra)
+    assert rc == 0 and err == ""
+    assert out == summary_line(census(3)) + "\n"
+    assert out_path.read_text().splitlines() == census(3).signatures()
+    assert stats_path.read_text() == stats_csv(census(3))
 
 
 def test_jobs_run_job_merge_pipeline(tmp_path, capsys):
@@ -116,8 +126,7 @@ def test_merge_rejects_headerless_jobs_file(tmp_path, capsys):
     # the previous result format carried a seed and a ninth row column
     old = tmp_path / "old.json"
     old.write_text(json.dumps({
-        "config": {"n": 1, "mode": "all", "level": 2, "seed": 0,
-                   "force_level0": False},
+        "config": {"n": 1, "mode": "all", "level": 2, "seed": 0},
         "rows": [[0, 3, 0, 0, 0, 1, 12, ["sig"], []]],
     }) + "\n")
     rc, _, err = run_cli(capsys, "merge", str(old))
@@ -169,7 +178,7 @@ def test_merge_rejects_an_inconsistent_signature(tmp_path, capsys):
     tampered = "5;0102101020240000103013403d203a4m3h424220"
     part = tmp_path / "part.json"
     part.write_text(json.dumps({
-        "config": {"n": 5, "mode": "all", "level": 2, "force_level0": False},
+        "config": {"n": 5, "mode": "all", "level": 2},
         "rows": [[0, 1, 0, 0, 0, 1, [tampered], []]],
         "jobs": [],
     }) + "\n")
@@ -178,6 +187,22 @@ def test_merge_rejects_an_inconsistent_signature(tmp_path, capsys):
     rc, out, err = run_cli(capsys, "merge", str(part))
     assert rc == 1 and out == ""
     assert err.startswith("error: slot 0:0: partner 0:1 does not glue back")
+
+
+def test_merge_rejects_a_malformed_result(tmp_path, capsys):
+    data = result_to_dict(census(3))
+    part = tmp_path / "part.json"
+    part.write_text(json.dumps(data) + "\n")
+    rc, out, _ = run_cli(capsys, "merge", str(part), "--sigs")
+    assert rc == 0 and out.splitlines()[:-1] == census(3).signatures()
+    for col, value in ((1, "5"), (6, "abc"), (2, -7)):
+        row = list(data["rows"][0])
+        row[col] = value
+        part.write_text(json.dumps({**data, "rows": [row, *data["rows"][1:]]})
+                        + "\n")
+        rc, out, err = run_cli(capsys, "merge", str(part))
+        assert (rc, out) == (1, ""), (col, value)
+        assert err.startswith("error: malformed result: ")
 
 
 def test_cli_import_leaves_heavy_modules_unloaded():
@@ -271,7 +296,7 @@ def test_contract_violations_exit_one(tmp_path, capsys):
     assert err.startswith("error: size must be at least 1")
     rc, _, err = run_cli(capsys, "census", "--size", "5", "--pruning", "0")
     assert rc == 1
-    assert "force_level0" in err
+    assert err == "error: pruning level 0 is limited to n <= 4\n"
     jobs = tmp_path / "jobs.txt"
     rc, _, _ = run_cli(capsys, "jobs", "--size", "1", "--depth", "1",
                        "--out", str(jobs))
@@ -296,3 +321,10 @@ def test_usage_errors_exit_two(capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)  # the seed option is gone
         assert exc.value.code == 2
+    for argv in (["census", "--size", "1", "--force-level0"],
+                 ["jobs", "--size", "1", "--depth", "1", "--force-level0"],
+                 ["census", "--size", "1", "--threads", "0"],
+                 ["census", "--size", "1", "--threads", "-3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv

@@ -1,6 +1,7 @@
 """Census search: totals, levels, backends, job splitting, formats."""
 
 import collections
+import dataclasses
 import functools
 
 import pytest
@@ -123,9 +124,11 @@ def test_config_validation():
         SearchConfig(n=1, mode="both")
     with pytest.raises(ValueError):
         SearchConfig(n=1, level=3)
-    with pytest.raises(ValueError, match="force_level0"):
-        SearchConfig(n=5, level=0)
-    SearchConfig(n=5, level=0, force_level0=True)  # explicit override
+    SearchConfig(n=4, level=0)
+    with pytest.raises(ValueError, match="level 0 is limited to n <= 4"):
+        SearchConfig(n=5, level=0)  # no override
+    assert [f.name for f in dataclasses.fields(SearchConfig)] == [
+        "n", "mode", "level"]
 
 
 def test_load_backend(monkeypatch):
@@ -206,6 +209,30 @@ def test_summary_and_stats_formats():
                         f"{first.leaves},{first.kept}")
 
 
+def _set_row(data, col, value):
+    row = list(data["rows"][0])
+    row[col] = value
+    return {**data, "rows": [row, *data["rows"][1:]]}
+
+
+#: results that are well shaped but not what result_to_dict writes
+MALFORMED_RESULTS = (
+    lambda d: _set_row(d, 1, str(d["rows"][0][1])),  # a string count
+    lambda d: _set_row(d, 2, -7),                    # a negative count
+    lambda d: _set_row(d, 5, True),                  # a bool count
+    lambda d: _set_row(d, 0, 1.0),                   # a float index
+    lambda d: _set_row(d, 6, "abc"),                 # a string, not a list
+    lambda d: _set_row(d, 7, [3]),                   # a non-string signature
+    lambda d: {**d, "rows": {}},
+    lambda d: {**d, "jobs": [["0", []]]},
+    lambda d: {**d, "jobs": [[0, [-1]]]},
+    lambda d: {**d, "jobs": [[0, "12"]]},
+    lambda d: {**d, "jobs": 5},
+    lambda d: {**d, "config": {**d["config"], "n": "2"}},
+    lambda d: {**d, "config": {**d["config"], "level": None}},
+)
+
+
 def test_result_dict_roundtrip():
     res = census(2)
     assert result_from_dict(result_to_dict(res)) == res
@@ -224,6 +251,9 @@ def test_result_dict_roundtrip():
     for rows, jobs in (([5], []), ([], [[0]]), ([], [[0, 5]])):
         with pytest.raises(ValueError, match="malformed result"):
             result_from_dict({**data, "rows": rows, "jobs": jobs})
+    for bad in MALFORMED_RESULTS:
+        with pytest.raises(ValueError, match="malformed result"):
+            result_from_dict(bad(data))
     jobs, _ = split_jobs(SearchConfig(n=2), 1)
     part = merge([run_job(job) for job in jobs])
     back = result_from_dict(result_to_dict(part))
@@ -234,7 +264,7 @@ def test_job_line_roundtrip():
     """Every SearchConfig field survives the job line."""
     for config in (SearchConfig(n=2), SearchConfig(n=2, mode="orientable"),
                    SearchConfig(n=2, mode="nonorientable", level=1),
-                   SearchConfig(n=2, level=0, force_level0=True)):
+                   SearchConfig(n=2, level=0)):
         jobs, _ = split_jobs(config, 2)
         assert jobs, "depth-2 split of n=2 must leave work"
         for job in jobs:
@@ -259,8 +289,9 @@ def test_job_line_rejects_tampering():
         parse_job(line.replace(" index=", " seed=0 index="))
     with pytest.raises(ValueError, match="unknown key 'x'"):
         parse_job("x " + line)
-    with pytest.raises(ValueError, match="force_level0 must be 0 or 1"):
-        parse_job(line.replace("force_level0=0", "force_level0=yes"))
+    # the previous format carried a force_level0= key
+    with pytest.raises(ValueError, match="unknown key 'force_level0'"):
+        parse_job(line.replace(" index=", " force_level0=0 index="))
 
 
 @functools.lru_cache(maxsize=None)
