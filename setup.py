@@ -14,13 +14,7 @@ and commit both; `tests/test_engine_source.py` fails while they differ:
     cython -3 -X boundscheck=False,wraparound=False,initializedcheck=False,cdivision=True src/linkcensus/_engine.pyx
 """
 
-import os
-
 from setuptools import Extension, setup
 
-ext_modules = []
-if os.environ.get("LINKCENSUS_NO_EXT") != "1":
-    ext_modules = [Extension("linkcensus._engine",
-                             ["src/linkcensus/_engine.c"], optional=True)]
-
-setup(ext_modules=ext_modules)
+setup(ext_modules=[Extension("linkcensus._engine",
+                             ["src/linkcensus/_engine.c"], optional=True)])

@@ -15,6 +15,11 @@ from .validate import is_3manifold
 
 BACKEND_NAME = "py"
 
+#: the counter a failed link-state gluing check bumps
+_PRUNED_BY = {GlueOutcome.BAD_EDGE: "prune_edge",
+              GlueOutcome.BAD_ORIENT: "prune_orient",
+              GlueOutcome.BAD_GENUS: "prune_genus"}
+
 
 def _orientable(n: int, adj: list[int], gl: list[int]) -> bool:
     # complete connected gluing: odd permutation parity keeps the sign
@@ -67,30 +72,25 @@ def search_pairing(n: int, mode: str, level: int, seed: int,
     signs = SignedDsu(n) if mode == "orientable" else None
     chosen = [0] * total
 
-    nodes = prune_orient = prune_edge = prune_genus = leaves = 0
+    count = dict.fromkeys(
+        ("nodes", "prune_orient", "prune_edge", "prune_genus", "leaves"), 0)
     orient_sigs: set[str] = set()
     nonor_sigs: set[str] = set()
     frontier: list[tuple[int, ...]] | None = [] if depth_cap is not None else None
 
     def apply(k: int, pi: int):
         """Run all checks for choice pi at pair k; None when pruned."""
-        nonlocal prune_orient, prune_edge, prune_genus
         s1, s2 = pairs[k]
         smark = signs.checkpoint() if signs is not None else None
         if signs is not None:
             if signs.union(s1 // 4, s2 // 4, -PERM4_SIGN[pi]) is Outcome.CONFLICT:
-                prune_orient += 1
+                count["prune_orient"] += 1
                 return None
         tok = None
         if ls is not None:
             out, tok = ls.glue_faces(s1 // 4, s1 % 4, s2 // 4, s2 % 4, pi)
             if out is not GlueOutcome.OK:
-                if out is GlueOutcome.BAD_EDGE:
-                    prune_edge += 1
-                elif out is GlueOutcome.BAD_ORIENT:
-                    prune_orient += 1
-                else:
-                    prune_genus += 1
+                count[_PRUNED_BY[out]] += 1
                 if signs is not None:
                     signs.rollback(smark)
                 return None
@@ -110,8 +110,7 @@ def search_pairing(n: int, mode: str, level: int, seed: int,
             signs.rollback(smark)
 
     def leaf() -> None:
-        nonlocal leaves
-        leaves += 1
+        count["leaves"] += 1
         if level == 0:
             if not _leaf_ok_level0(n, adj, gl):
                 return
@@ -128,7 +127,6 @@ def search_pairing(n: int, mode: str, level: int, seed: int,
         (orient_sigs if orient else nonor_sigs).add(sig)
 
     def dfs(k: int) -> None:
-        nonlocal nodes
         if k == total:
             leaf()
             return
@@ -136,7 +134,7 @@ def search_pairing(n: int, mode: str, level: int, seed: int,
             frontier.append(tuple(chosen[:k]))
             return
         for pi in branches[k]:
-            nodes += 1
+            count["nodes"] += 1
             applied = apply(k, pi)
             if applied is None:
                 continue
@@ -153,11 +151,7 @@ def search_pairing(n: int, mode: str, level: int, seed: int,
     dfs(len(prefix))
 
     return {
-        "nodes": nodes,
-        "prune_orient": prune_orient,
-        "prune_edge": prune_edge,
-        "prune_genus": prune_genus,
-        "leaves": leaves,
+        **count,
         "orient_sigs": sorted(orient_sigs),
         "nonor_sigs": sorted(nonor_sigs),
         "frontier": frontier,

@@ -4,7 +4,8 @@ Subcommands: census, fpg, jobs, run-job, merge, bench, validate, bound.
 Every census runs as jobs: `census` splits the search at `--depth`, runs
 the jobs in process (or in a pool of `--threads` workers), merges them
 and checks that each job is counted exactly once; `jobs`, `run-job` and
-`merge` do the same across separate processes.  Flag conventions are
+`merge` do the same across separate processes (`merge` always reads the
+jobs file, so it can make the same check).  Flag conventions are
 shared across subcommands; `LINKCENSUS_BACKEND` picks the engine.  Exit
 codes: 0 success, 1 internal contract violation (with a diagnostic on
 stderr), 2 usage error.
@@ -22,6 +23,8 @@ from math import factorial
 from .core import ParseError, decode_signature, parse_table, serialize
 from .fpg import enumerate_pairings, format_pairing, graph_summary
 from .search import (
+    COUNTERS,
+    MODES,
     CensusResult,
     SearchConfig,
     check_coverage,
@@ -41,16 +44,18 @@ from .search import (
 
 def _add_census_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--size", type=int, required=True, metavar="N")
-    p.add_argument("--mode", choices=("all", "orientable", "nonorientable"),
-                   default="all")
+    p.add_argument("--mode", choices=MODES, default="all")
     p.add_argument("--pruning", type=int, choices=(0, 1, 2), default=2)
 
 
-def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
-    return value
+def _at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, not {value}")
+        return value
+    return integer
 
 
 def _config(args) -> SearchConfig:
@@ -151,14 +156,11 @@ def _job_lines(lines: list[str]) -> list[str]:
 
 
 def _cmd_merge(args) -> int:
-    results = []
-    jobs = None
-    if args.jobs:
-        head, *lines = _read_lines(args.jobs) or [""]
-        if not head.startswith("# partial "):
-            raise ValueError(f"{args.jobs} has no partial-result header")
-        results.append(result_from_dict(json.loads(head[len("# partial "):])))
-        jobs = [parse_job(line) for line in _job_lines(lines)]
+    head, *lines = _read_lines(args.jobs) or [""]
+    if not head.startswith("# partial "):
+        raise ValueError(f"{args.jobs} has no partial-result header")
+    results = [result_from_dict(json.loads(head[len("# partial "):]))]
+    jobs = [parse_job(line) for line in _job_lines(lines)]
     for path in args.results:
         with open(path) as fh:
             for line in fh:
@@ -166,8 +168,7 @@ def _cmd_merge(args) -> int:
                 if line:
                     results.append(result_from_dict(json.loads(line)))
     merged = merge(results)
-    if jobs is not None:
-        check_coverage(merged, jobs)
+    check_coverage(merged, jobs)
     _emit_result(merged, args)
     return 0
 
@@ -175,7 +176,7 @@ def _cmd_merge(args) -> int:
 def _cmd_bench(args) -> int:
     levels = ([0] if args.size <= 4 else []) + [1, 2]
     print(f"backend={load_backend().BACKEND_NAME}")
-    print("level,nodes,prune_orient,prune_edge,prune_genus,leaves,kept,seconds")
+    print(",".join(("level", *COUNTERS, "kept", "seconds")))
     timed: dict[int, tuple[CensusResult, float]] = {}
     for level in levels:
         config = SearchConfig(n=args.size, mode=args.mode, level=level)
@@ -183,8 +184,8 @@ def _cmd_bench(args) -> int:
         result = enumerate_census(config)
         wall = time.perf_counter() - t0
         timed[level] = (result, wall)
-        print(f"{level},{result.nodes},{result.prune_orient},{result.prune_edge},"
-              f"{result.prune_genus},{result.leaves},{result.total},{wall:.3f}")
+        print(",".join(map(str, (level, *result.counts().values(),
+                                 result.total, f"{wall:.3f}"))))
     kept = {lvl: sorted(res.signatures()) for lvl, (res, _) in timed.items()}
     if len(set(map(tuple, kept.values()))) != 1:
         raise AssertionError("pruning levels disagree on the census output")
@@ -279,10 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="enumerate triangulations")
     _add_census_flags(p)
     p.add_argument("--out", metavar="PATH", default=None)
-    p.add_argument("--depth", type=int, default=0, metavar="D",
+    p.add_argument("--depth", type=_at_least(0), default=0, metavar="D",
                    help="glued pairs above each job (default 0: one job "
                    "per pairing)")
-    p.add_argument("--threads", type=_positive, default=1, metavar="T")
+    p.add_argument("--threads", type=_at_least(1), default=1, metavar="T")
     p.add_argument("--sigs", action="store_true",
                    help="emit signatures instead of gluing tables")
     p.add_argument("--stats", metavar="PATH", default=None)
@@ -297,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("jobs", help="split a census into replayable jobs")
     _add_census_flags(p)
-    p.add_argument("--depth", type=int, required=True, metavar="D")
+    p.add_argument("--depth", type=_at_least(0), required=True, metavar="D")
     p.add_argument("--out", metavar="PATH", default=None)
     p.set_defaults(func=_cmd_jobs)
 
@@ -309,8 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("merge", help="merge results into a census output")
     p.add_argument("results", nargs="*", metavar="RESULT.json")
-    p.add_argument("--jobs", metavar="PATH", default=None,
-                   help="jobs file whose partial-result header to include")
+    p.add_argument("--jobs", metavar="PATH", required=True,
+                   help="the jobs file: its partial-result header is merged "
+                   "in and each of its jobs must have exactly one result")
     p.add_argument("--out", metavar="PATH", default=None)
     p.add_argument("--sigs", action="store_true")
     p.add_argument("--stats", metavar="PATH", default=None)
@@ -318,8 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="compare pruning levels")
     p.add_argument("--size", type=int, required=True, metavar="N")
-    p.add_argument("--mode", choices=("all", "orientable", "nonorientable"),
-                   default="all")
+    p.add_argument("--mode", choices=MODES, default="all")
     p.add_argument("--backends", action="store_true",
                    help="also compare the compiled and pure-Python engines")
     p.set_defaults(func=_cmd_bench)

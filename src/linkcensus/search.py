@@ -5,6 +5,11 @@ is the compiled kernel and `_engine_py` the pure-Python twin with the
 same contract.  Everything here is bookkeeping around those searches:
 iterating canonical pairings, collecting per-pairing rows, splitting the
 tree into replayable jobs, and merging partial results exactly.
+
+`COUNTERS` names the per-pairing search counters once: the row fields,
+merge's sums, the stats CSV columns and the JSON row columns all follow
+it, so a new counter is one entry there, one `PairingRow` field and
+the code that counts it.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import os
 from dataclasses import asdict, dataclass, field, fields
 
+from .core import ParseError, decode_signature
 from .fpg import enumerate_pairings, format_pairing, parse_pairing
 from .perms import GLUING_PERMS
 
@@ -71,9 +77,14 @@ CONFIG_KEYS = {f.name for f in fields(SearchConfig)}
 JOB_KEYS = ("n", "mode", "level", "index")
 
 
+#: per-pairing search counters, in PairingRow, CSV and JSON column order
+COUNTERS = ("nodes", "prune_orient", "prune_edge", "prune_genus", "leaves")
+
+
 @dataclass(frozen=True)
 class PairingRow:
-    """Counts and deduplicated signatures for one canonical pairing."""
+    """Counts and deduplicated signatures for one canonical pairing; the
+    fields between `index` and the signatures are the COUNTERS."""
 
     index: int
     nodes: int
@@ -87,6 +98,14 @@ class PairingRow:
     @property
     def kept(self) -> int:
         return len(self.orient_sigs) + len(self.nonor_sigs)
+
+    def counts(self) -> dict[str, int]:
+        return {c: getattr(self, c) for c in COUNTERS}
+
+
+def _totals(rows) -> dict[str, int]:
+    """Each of the COUNTERS summed over `rows`."""
+    return {c: sum(getattr(r, c) for r in rows) for c in COUNTERS}
 
 
 #: a split job's id: its pairing index and gluing prefix
@@ -119,21 +138,8 @@ class CensusResult:
     def nodes(self) -> int:
         return sum(r.nodes for r in self.rows)
 
-    @property
-    def prune_orient(self) -> int:
-        return sum(r.prune_orient for r in self.rows)
-
-    @property
-    def prune_edge(self) -> int:
-        return sum(r.prune_edge for r in self.rows)
-
-    @property
-    def prune_genus(self) -> int:
-        return sum(r.prune_genus for r in self.rows)
-
-    @property
-    def leaves(self) -> int:
-        return sum(r.leaves for r in self.rows)
+    def counts(self) -> dict[str, int]:
+        return _totals(self.rows)
 
     def signatures(self) -> list[str]:
         out: list[str] = []
@@ -159,16 +165,9 @@ class JobDescriptor:
 
 
 def _row_from_raw(index: int, raw: dict) -> PairingRow:
-    return PairingRow(
-        index=index,
-        nodes=raw["nodes"],
-        prune_orient=raw["prune_orient"],
-        prune_edge=raw["prune_edge"],
-        prune_genus=raw["prune_genus"],
-        leaves=raw["leaves"],
-        orient_sigs=tuple(raw["orient_sigs"]),
-        nonor_sigs=tuple(raw["nonor_sigs"]),
-    )
+    return PairingRow(index, **{c: raw[c] for c in COUNTERS},
+                      orient_sigs=tuple(raw["orient_sigs"]),
+                      nonor_sigs=tuple(raw["nonor_sigs"]))
 
 
 def enumerate_census(config: SearchConfig, backend: str | None = None) -> CensusResult:
@@ -256,16 +255,9 @@ def merge(results: list[CensusResult]) -> CensusResult:
         for row in group:
             orient.update(row.orient_sigs)
             nonor.update(row.nonor_sigs)
-        rows.append(PairingRow(
-            index=index,
-            nodes=sum(r.nodes for r in group),
-            prune_orient=sum(r.prune_orient for r in group),
-            prune_edge=sum(r.prune_edge for r in group),
-            prune_genus=sum(r.prune_genus for r in group),
-            leaves=sum(r.leaves for r in group),
-            orient_sigs=tuple(sorted(orient)),
-            nonor_sigs=tuple(sorted(nonor)),
-        ))
+        rows.append(PairingRow(index, **_totals(group),
+                               orient_sigs=tuple(sorted(orient)),
+                               nonor_sigs=tuple(sorted(nonor))))
     return CensusResult(config, tuple(rows), tuple(sorted(jobs)))
 
 
@@ -291,10 +283,9 @@ def summary_line(result: CensusResult) -> str:
 
 
 def stats_csv(result: CensusResult) -> str:
-    lines = ["pairing_index,nodes,prune_orient,prune_edge,prune_genus,leaves,kept"]
+    lines = [",".join(("pairing_index", *COUNTERS, "kept"))]
     for r in result.rows:
-        lines.append(f"{r.index},{r.nodes},{r.prune_orient},{r.prune_edge},"
-                     f"{r.prune_genus},{r.leaves},{r.kept}")
+        lines.append(",".join(map(str, (r.index, *r.counts().values(), r.kept))))
     return "\n".join(lines) + "\n"
 
 
@@ -302,11 +293,8 @@ def result_to_dict(result: CensusResult) -> dict:
     """JSON-friendly form, exact inverse of result_from_dict."""
     return {
         "config": asdict(result.config),
-        "rows": [
-            [r.index, r.nodes, r.prune_orient, r.prune_edge, r.prune_genus,
-             r.leaves, list(r.orient_sigs), list(r.nonor_sigs)]
-            for r in result.rows
-        ],
+        "rows": [[r.index, *r.counts().values(), list(r.orient_sigs),
+                  list(r.nonor_sigs)] for r in result.rows],
         "jobs": [[index, list(prefix)] for index, prefix in result.jobs],
     }
 
@@ -320,11 +308,11 @@ def _is_list_of(xs, ok) -> bool:
 
 
 def _is_row(row) -> bool:
-    """[index, five counts, orientable sigs, non-orientable sigs]"""
-    return (type(row) is list and len(row) == 8
-            and all(map(_is_count, row[:6]))
+    """[index, *COUNTERS, orientable sigs, non-orientable sigs]"""
+    return (type(row) is list and len(row) == len(COUNTERS) + 3
+            and all(map(_is_count, row[:-2]))
             and all(_is_list_of(col, lambda sig: type(sig) is str)
-                    for col in row[6:]))
+                    for col in row[-2:]))
 
 
 def _is_job(job) -> bool:
@@ -334,8 +322,9 @@ def _is_job(job) -> bool:
 
 
 def result_from_dict(data: dict) -> CensusResult:
-    """Inverse of result_to_dict.  Anything it could not have written
-    raises ValueError before any of it is used."""
+    """Inverse of result_to_dict.  Anything it could not have written,
+    down to a signature that does not decode to a triangulation of the
+    configured size, raises ValueError before any of it is used."""
     if not isinstance(data, dict) or not {"config", "rows"} <= set(data):
         raise ValueError("a result must be an object with jobs, config and rows")
     config = data["config"]
@@ -350,15 +339,24 @@ def result_from_dict(data: dict) -> CensusResult:
             and type(config["mode"]) is str):
         raise ValueError(f"malformed result: config {config}")
     if not _is_list_of(data["rows"], _is_row):
-        raise ValueError("malformed result: rows must have 8 columns, six "
-                         "non-negative integers and two lists of signatures")
+        raise ValueError(f"malformed result: rows must have {len(COUNTERS) + 3}"
+                         f" columns, {len(COUNTERS) + 1} non-negative integers"
+                         " and two lists of signatures")
     if not _is_list_of(data["jobs"], _is_job):
         raise ValueError("malformed result: jobs must be [index, prefix] "
                          "pairs of non-negative integers")
-    rows = tuple(PairingRow(*row[:6], tuple(row[6]), tuple(row[7]))
-                 for row in data["rows"])
+    config = SearchConfig(**config)
+    for *_, orient, nonor in data["rows"]:
+        for sig in orient + nonor:
+            try:
+                if decode_signature(sig).n != config.n:
+                    raise ParseError(f"size is not n={config.n}")
+            except ParseError as e:
+                raise ValueError(f"malformed result: signature {sig!r}: {e}") from None
+    rows = tuple(PairingRow(*ints, tuple(orient), tuple(nonor))
+                 for *ints, orient, nonor in data["rows"])
     jobs = tuple((index, tuple(prefix)) for index, prefix in data["jobs"])
-    return CensusResult(SearchConfig(**config), rows, jobs)
+    return CensusResult(config, rows, jobs)
 
 
 def format_job(job: JobDescriptor) -> str:

@@ -22,6 +22,7 @@ from linkcensus.core import (
 from linkcensus.fpg import enumerate_pairings, format_pairing
 from linkcensus.perms import GLUING_PERMS, FaceSlot
 from linkcensus.search import (
+    COUNTERS,
     result_from_dict,
     result_to_dict,
     stats_csv,
@@ -117,23 +118,6 @@ def test_jobs_run_job_merge_pipeline(tmp_path, capsys):
     assert merged_path.read_bytes() == direct_path.read_bytes()
 
 
-def test_merge_rejects_headerless_jobs_file(tmp_path, capsys):
-    bad = tmp_path / "noheader.txt"
-    bad.write_text("just a line\n")
-    rc, _, err = run_cli(capsys, "merge", "--jobs", str(bad))
-    assert rc == 1
-    assert "no partial-result header" in err
-    # the previous result format carried a seed and a ninth row column
-    old = tmp_path / "old.json"
-    old.write_text(json.dumps({
-        "config": {"n": 1, "mode": "all", "level": 2, "seed": 0},
-        "rows": [[0, 3, 0, 0, 0, 1, 12, ["sig"], []]],
-    }) + "\n")
-    rc, _, err = run_cli(capsys, "merge", str(old))
-    assert rc == 1
-    assert err.startswith("error: result config has keys")
-
-
 def _n3_split(tmp_path, capsys):
     """n=3 split at depth 1 (15 jobs), a part with 3 of them, and all."""
     jobs_path = tmp_path / "jobs.txt"
@@ -153,6 +137,24 @@ def _n3_split(tmp_path, capsys):
     return str(jobs_path), *paths
 
 
+def test_merge_rejects_headerless_jobs_file(tmp_path, capsys):
+    jobs, _, full = _n3_split(tmp_path, capsys)
+    bad = tmp_path / "noheader.txt"
+    bad.write_text("just a line\n")
+    rc, out, err = run_cli(capsys, "merge", full, "--jobs", str(bad))
+    assert rc == 1 and out == ""
+    assert "no partial-result header" in err
+    # the previous result format carried a seed and a ninth row column
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({
+        "config": {"n": 3, "mode": "all", "level": 2, "seed": 0},
+        "rows": [[0, 3, 0, 0, 0, 1, 12, ["sig"], []]],
+    }) + "\n")
+    rc, out, err = run_cli(capsys, "merge", str(old), "--jobs", jobs)
+    assert rc == 1 and out == ""
+    assert err.startswith("error: result config has keys")
+
+
 def test_merge_refuses_a_partial_census(tmp_path, capsys):
     jobs, part, _ = _n3_split(tmp_path, capsys)
     rc, out, err = run_cli(capsys, "merge", part, "--jobs", jobs)
@@ -162,45 +164,49 @@ def test_merge_refuses_a_partial_census(tmp_path, capsys):
 
 
 def test_merge_refuses_a_part_given_twice(tmp_path, capsys):
-    jobs, _, full = _n3_split(tmp_path, capsys)
+    jobs, part, full = _n3_split(tmp_path, capsys)
     rc, out, _ = run_cli(capsys, "merge", full, "--jobs", jobs, "--sigs")
     assert rc == 0
     assert out.splitlines()[-1] == (
         f"n=3 mode=all total=81 orientable=76 nonorientable=5 nodes={census(3).nodes}")
-    for argv in ([full, full, "--jobs", jobs], [full, full]):
-        rc, out, err = run_cli(capsys, "merge", *argv)
+    for argv in ([full, full], [part, full]):
+        rc, out, err = run_cli(capsys, "merge", *argv, "--jobs", jobs)
         assert rc == 1 and out == ""
         assert err.startswith("error: job covered twice: pairing ")
 
 
+def _tampered(path: str, col: int, value) -> str:
+    """Write a copy of the result at `path` whose last row has `value`
+    at column `col`."""
+    data = json.loads(Path(path).read_text())
+    data["rows"][-1][col] = value
+    bad = Path(path).with_name("tampered.json")
+    bad.write_text(json.dumps(data) + "\n")
+    return str(bad)
+
+
 def test_merge_rejects_an_inconsistent_signature(tmp_path, capsys):
-    # an n=5 census signature whose slot 0:1 no longer glues back to 0:0
-    tampered = "5;0102101020240000103013403d203a4m3h424220"
-    part = tmp_path / "part.json"
-    part.write_text(json.dumps({
-        "config": {"n": 5, "mode": "all", "level": 2},
-        "rows": [[0, 1, 0, 0, 0, 1, [tampered], []]],
-        "jobs": [],
-    }) + "\n")
-    rc, _, err = run_cli(capsys, "merge", str(part), "--sigs")
-    assert rc == 0
-    rc, out, err = run_cli(capsys, "merge", str(part))
-    assert rc == 1 and out == ""
-    assert err.startswith("error: slot 0:0: partner 0:1 does not glue back")
+    jobs, _, full = _n3_split(tmp_path, capsys)
+    col = 1 + len(COUNTERS)  # a row's orientable signatures
+    *keep, sig = json.loads(Path(full).read_text())["rows"][-1][col]
+    # the last slot of the last signature no longer glues back to its
+    # partner; then a valid signature of the wrong size in its place
+    for bad_sig in (sig[:-1] + ("2" if sig[-1] == "1" else "1"),
+                    census(1).signatures()[0]):
+        bad = _tampered(full, col, [*keep, bad_sig])
+        for sigs in ([], ["--sigs"]):
+            rc, out, err = run_cli(capsys, "merge", bad, "--jobs", jobs, *sigs)
+            assert (rc, out) == (1, ""), (bad_sig, sigs)
+            assert err.startswith(f"error: malformed result: signature '{bad_sig}'")
 
 
 def test_merge_rejects_a_malformed_result(tmp_path, capsys):
-    data = result_to_dict(census(3))
-    part = tmp_path / "part.json"
-    part.write_text(json.dumps(data) + "\n")
-    rc, out, _ = run_cli(capsys, "merge", str(part), "--sigs")
+    jobs, _, full = _n3_split(tmp_path, capsys)
+    rc, out, _ = run_cli(capsys, "merge", full, "--jobs", jobs, "--sigs")
     assert rc == 0 and out.splitlines()[:-1] == census(3).signatures()
     for col, value in ((1, "5"), (6, "abc"), (2, -7)):
-        row = list(data["rows"][0])
-        row[col] = value
-        part.write_text(json.dumps({**data, "rows": [row, *data["rows"][1:]]})
-                        + "\n")
-        rc, out, err = run_cli(capsys, "merge", str(part))
+        bad = _tampered(full, col, value)
+        rc, out, err = run_cli(capsys, "merge", bad, "--jobs", jobs)
         assert (rc, out) == (1, ""), (col, value)
         assert err.startswith("error: malformed result: ")
 
@@ -270,8 +276,13 @@ def test_bench_smoke(capsys):
     lines = out.splitlines()
     assert lines[0].startswith("backend=")
     assert lines[1] == "level,nodes,prune_orient,prune_edge,prune_genus,leaves,kept,seconds"
+    assert lines[1] == ",".join(("level", *COUNTERS, "kept", "seconds"))
     level_rows = [ln for ln in lines if ln[:2] in ("0,", "1,", "2,")]
     assert len(level_rows) == 3
+    for level, row in enumerate(level_rows):
+        res = census(2, level=level)
+        assert row.split(",")[:-1] == [str(level), *map(
+            str, res.counts().values()), str(res.total)]
     assert any(ln.startswith("speedup level2-vs-level1:") for ln in lines)
     assert any(ln.startswith("backend-walls:") for ln in lines)
 
@@ -324,7 +335,10 @@ def test_usage_errors_exit_two(capsys):
     for argv in (["census", "--size", "1", "--force-level0"],
                  ["jobs", "--size", "1", "--depth", "1", "--force-level0"],
                  ["census", "--size", "1", "--threads", "0"],
-                 ["census", "--size", "1", "--threads", "-3"]):
+                 ["census", "--size", "1", "--threads", "-3"],
+                 ["census", "--size", "1", "--depth", "-1"],
+                 ["jobs", "--size", "1", "--depth", "-1"],
+                 ["merge", "result.json"]):  # --jobs is required
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv

@@ -13,7 +13,9 @@ from linkcensus.core import decode_signature, is_orientable
 from linkcensus.fpg import enumerate_pairings
 from linkcensus.perms import GLUING_PERMS
 from linkcensus.search import (
+    COUNTERS,
     JobDescriptor,
+    PairingRow,
     SearchConfig,
     check_coverage,
     enumerate_census,
@@ -209,6 +211,23 @@ def test_summary_and_stats_formats():
                         f"{first.leaves},{first.kept}")
 
 
+def test_counters_are_the_one_list():
+    """Row fields, CSV columns, JSON rows and totals all follow COUNTERS."""
+    names = [f.name for f in dataclasses.fields(PairingRow)]
+    assert names == ["index", *COUNTERS, "orient_sigs", "nonor_sigs"]
+    res = census(3)
+    assert stats_csv(res).splitlines()[0] == ",".join(
+        ("pairing_index", *COUNTERS, "kept"))
+    rows = result_to_dict(res)["rows"]
+    assert {len(row) for row in rows} == {len(COUNTERS) + 3}
+    assert [row[1:-2] for row in rows] == [
+        [getattr(r, c) for c in COUNTERS] for r in res.rows]
+    assert res.counts() == {c: sum(getattr(r, c) for r in res.rows)
+                            for c in COUNTERS}
+    assert list(res.counts()) == list(COUNTERS)
+    assert res.counts()["nodes"] == res.nodes
+
+
 def _set_row(data, col, value):
     row = list(data["rows"][0])
     row[col] = value
@@ -223,6 +242,8 @@ MALFORMED_RESULTS = (
     lambda d: _set_row(d, 0, 1.0),                   # a float index
     lambda d: _set_row(d, 6, "abc"),                 # a string, not a list
     lambda d: _set_row(d, 7, [3]),                   # a non-string signature
+    lambda d: _set_row(d, 6, ["1;01010606"]),        # a size-1 signature
+    lambda d: _set_row(d, 7, ["2;0101101011110001"]),  # not glued back
     lambda d: {**d, "rows": {}},
     lambda d: {**d, "jobs": [["0", []]]},
     lambda d: {**d, "jobs": [[0, [-1]]]},
