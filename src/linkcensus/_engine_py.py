@@ -9,8 +9,10 @@ from __future__ import annotations
 
 from .core import Triangulation, canonical_sequence, sequence_signature
 from .dsu import Outcome, SignedDsu
+from .fpg import pairs_of
 from .linktrack import GlueOutcome, LinkState
 from .perms import GLUING_PERMS, PERM4_INV, PERM4_SIGN
+from .search import COUNTERS
 from .validate import is_3manifold
 
 BACKEND_NAME = "py"
@@ -63,7 +65,7 @@ def search_pairing(n: int, mode: str, level: int, seed: int,
     Returns a dict of counters plus per-pairing deduplicated signature
     lists (`orient_sigs`, `nonor_sigs`) and optionally `frontier`.
     """
-    pairs = [(s, p) for s, p in enumerate(pairing) if s < p]
+    pairs = pairs_of(pairing)
     total = len(pairs)
     branches = [GLUING_PERMS[s1 % 4][s2 % 4] for s1, s2 in pairs]
     adj = [-1] * (4 * n)
@@ -72,8 +74,7 @@ def search_pairing(n: int, mode: str, level: int, seed: int,
     signs = SignedDsu(n) if mode == "orientable" else None
     chosen = [0] * total
 
-    count = dict.fromkeys(
-        ("nodes", "prune_orient", "prune_edge", "prune_genus", "leaves"), 0)
+    count = dict.fromkeys(COUNTERS, 0)
     orient_sigs: set[str] = set()
     nonor_sigs: set[str] = set()
     frontier: list[tuple[int, ...]] | None = [] if depth_cap is not None else None

@@ -2,18 +2,19 @@
 
 Subcommands: census, fpg, jobs, run-job, merge, bench, validate, bound.
 Every census runs as jobs: `census` splits the search at `--depth`, runs
-the jobs in process (or in a pool of `--threads` workers), merges them
-and checks that each job is counted exactly once; `jobs`, `run-job` and
-`merge` do the same across separate processes (`merge` always reads the
-jobs file, so it can make the same check).  Flag conventions are
-shared across subcommands; `LINKCENSUS_BACKEND` picks the engine.  Exit
-codes: 0 success, 1 internal contract violation (with a diagnostic on
-stderr), 2 usage error.
+the jobs in process (or in a pool of `--threads` workers) and merges
+them; `jobs`, `run-job` and `merge` do the same across separate
+processes.  Each merge is given the jobs it covers (`merge` reads them
+from the jobs file), so it counts every job exactly once.  Flag
+conventions are shared across subcommands; `LINKCENSUS_BACKEND` picks
+the engine.  Exit codes: 0 success, 1 internal contract violation (with
+a diagnostic on stderr), 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -24,10 +25,10 @@ from .core import ParseError, decode_signature, parse_table, serialize
 from .fpg import enumerate_pairings, format_pairing, graph_summary
 from .search import (
     COUNTERS,
+    LEVEL0_SIZE_CAP,
     MODES,
     CensusResult,
     SearchConfig,
-    check_coverage,
     enumerate_census,
     format_job,
     load_backend,
@@ -62,21 +63,18 @@ def _config(args) -> SearchConfig:
     return SearchConfig(n=args.size, mode=args.mode, level=args.pruning)
 
 
-def _open_out(path: str | None):
+def _output(path: str | None):
+    """Stdout for None or '-' (left open), else the file opened for writing."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w"), True
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w")
 
 
 def _emit_result(result: CensusResult, args) -> None:
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         for sig in result.signatures():
             out.write(sig if args.sigs else serialize(decode_signature(sig)))
             out.write("\n")
-    finally:
-        if close:
-            out.close()
     if args.stats:
         with open(args.stats, "w") as fh:
             fh.write(stats_csv(result))
@@ -92,38 +90,28 @@ def _cmd_census(args) -> int:
             results = list(pool.map(run_job, jobs))
     else:
         results = [run_job(job) for job in jobs]
-    result = merge([partial, *results])
-    check_coverage(result, jobs)
-    _emit_result(result, args)
+    _emit_result(merge([partial, *results], jobs), args)
     return 0
 
 
 def _cmd_fpg(args) -> int:
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         for fp in enumerate_pairings(args.size):
             line = format_pairing(fp)
             if args.graphs:
                 line += f" | {graph_summary(fp)}"
             out.write(line + "\n")
-    finally:
-        if close:
-            out.close()
     return 0
 
 
 def _cmd_jobs(args) -> int:
     config = _config(args)
     jobs, partial = split_jobs(config, args.depth)
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         out.write("# partial " + json.dumps(result_to_dict(partial),
                                             separators=(",", ":")) + "\n")
         for job in jobs:
             out.write(format_job(job) + "\n")
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -135,18 +123,14 @@ def _read_lines(path: str | None) -> list[str]:
 
 
 def _cmd_run_job(args) -> int:
-    results = [run_job(parse_job(line))
-               for line in _job_lines(_read_lines(getattr(args, "in")))]
-    if not results:
+    jobs = [parse_job(line)
+            for line in _job_lines(_read_lines(getattr(args, "in")))]
+    if not jobs:
         raise ValueError("no job lines found")
-    merged = merge(results)
-    out, close = _open_out(args.out)
-    try:
+    merged = merge([run_job(job) for job in jobs], jobs)
+    with _output(args.out) as out:
         json.dump(result_to_dict(merged), out, separators=(",", ":"))
         out.write("\n")
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -167,14 +151,12 @@ def _cmd_merge(args) -> int:
                 line = line.strip()
                 if line:
                     results.append(result_from_dict(json.loads(line)))
-    merged = merge(results)
-    check_coverage(merged, jobs)
-    _emit_result(merged, args)
+    _emit_result(merge(results, jobs), args)
     return 0
 
 
 def _cmd_bench(args) -> int:
-    levels = ([0] if args.size <= 4 else []) + [1, 2]
+    levels = ([0] if args.size <= LEVEL0_SIZE_CAP else []) + [1, 2]
     print(f"backend={load_backend().BACKEND_NAME}")
     print(",".join(("level", *COUNTERS, "kept", "seconds")))
     timed: dict[int, tuple[CensusResult, float]] = {}

@@ -5,6 +5,8 @@ is the compiled kernel and `_engine_py` the pure-Python twin with the
 same contract.  Everything here is bookkeeping around those searches:
 iterating canonical pairings, collecting per-pairing rows, splitting the
 tree into replayable jobs, and merging partial results exactly.
+`merge(results, jobs)` is the one place that checks the split was run
+exactly once: every job of the list covered by one result, nothing else.
 
 `COUNTERS` names the per-pairing search counters once: the row fields,
 merge's sums, the stats CSV columns and the JSON row columns all follow
@@ -18,7 +20,7 @@ import os
 from dataclasses import asdict, dataclass, field, fields
 
 from .core import ParseError, decode_signature
-from .fpg import enumerate_pairings, format_pairing, parse_pairing
+from .fpg import enumerate_pairings, format_pairing, pairs_of, parse_pairing
 from .perms import GLUING_PERMS
 
 MODES = ("all", "orientable", "nonorientable")
@@ -174,7 +176,7 @@ def enumerate_census(config: SearchConfig, backend: str | None = None) -> Census
     """Full census at the configured size: split at depth 0 (one job per
     canonical pairing), run every job, merge."""
     jobs, partial = split_jobs(config, 0, backend)
-    return merge([partial, *(run_job(job, backend) for job in jobs)])
+    return merge([partial, *(run_job(job, backend) for job in jobs)], jobs)
 
 
 def split_jobs(config: SearchConfig, depth: int,
@@ -222,27 +224,39 @@ def _name_jobs(ids: list[JobId], limit: int = 5) -> str:
     return "; ".join(names) + more
 
 
-def merge(results: list[CensusResult]) -> CensusResult:
-    """Exact union of partial results: counts add, signature sets union.
+def merge(results: list[CensusResult], jobs: list[JobDescriptor]) -> CensusResult:
+    """Exact union of the results of `jobs` and their split's partial
+    result: counts add, signature sets union.
 
-    A job covered by more than one result, or lying inside another job's
-    subtree (parts of splits at two depths), raises ValueError, since its
-    counts would add twice.
+    Raises ValueError unless every job is covered by exactly one result
+    and no result covers anything else: a job list with one job inside
+    another's subtree (parts of splits at two depths), a job covered
+    twice, a job with no result and a result for a job not in the list
+    would each make the counts wrong.
     """
     if not results:
         raise ValueError("nothing to merge")
     config = results[0].config
-    if any(r.config != config for r in results):
+    if any(x.config != config for x in (*results, *jobs)):
         raise ValueError("cannot merge results from different configurations")
-    jobs: set[JobId] = set()
-    for job in (job for res in results for job in res.jobs):
-        if job in jobs:
-            raise ValueError(f"job covered twice: {_name_jobs([job])}")
-        jobs.add(job)
-    nested = [(index, prefix) for index, prefix in jobs
-              if any((index, prefix[:k]) in jobs for k in range(len(prefix)))]
+    want = {job.id for job in jobs}
+    nested = [(index, prefix) for index, prefix in want
+              if any((index, prefix[:k]) in want for k in range(len(prefix)))]
     if nested:
         raise ValueError(f"job lies inside another job: {_name_jobs(sorted(nested))}")
+    got: set[JobId] = set()
+    for job in (job for res in results for job in res.jobs):
+        if job in got:
+            raise ValueError(f"job covered twice: {_name_jobs([job])}")
+        got.add(job)
+    missing = sorted(want - got)
+    if missing:
+        raise ValueError(f"{len(missing)} of {len(want)} jobs have no result: "
+                         + _name_jobs(missing))
+    extra = sorted(got - want)
+    if extra:
+        raise ValueError(f"{len(extra)} results cover jobs not in the jobs "
+                         "file: " + _name_jobs(extra))
     by_index: dict[int, list[PairingRow]] = {}
     for res in results:
         for row in res.rows:
@@ -258,21 +272,7 @@ def merge(results: list[CensusResult]) -> CensusResult:
         rows.append(PairingRow(index, **_totals(group),
                                orient_sigs=tuple(sorted(orient)),
                                nonor_sigs=tuple(sorted(nonor))))
-    return CensusResult(config, tuple(rows), tuple(sorted(jobs)))
-
-
-def check_coverage(result: CensusResult, jobs: list[JobDescriptor]) -> None:
-    """Raise ValueError unless `result` covers exactly the given jobs."""
-    want = {job.id for job in jobs}
-    got = set(result.jobs)
-    missing = sorted(want - got)
-    if missing:
-        raise ValueError(f"{len(missing)} of {len(want)} jobs have no result: "
-                         + _name_jobs(missing))
-    extra = sorted(got - want)
-    if extra:
-        raise ValueError(f"{len(extra)} results cover jobs not in the jobs "
-                         "file: " + _name_jobs(extra))
+    return CensusResult(config, tuple(rows), tuple(sorted(got)))
 
 
 def summary_line(result: CensusResult) -> str:
@@ -362,8 +362,8 @@ def result_from_dict(data: dict) -> CensusResult:
 def format_job(job: JobDescriptor) -> str:
     c = job.config
     head = f"n={c.n} mode={c.mode} level={c.level} index={job.pairing_index}"
-    pairs = [(s, p) for s, p in enumerate(job.pairing) if s < p]
-    toks = " ".join(f"{pairs[k][0]}={job.pairing[pairs[k][0]] // 4}:{pi}"
+    pairs = pairs_of(job.pairing)
+    toks = " ".join(f"{pairs[k][0]}={pairs[k][1] // 4}:{pi}"
                     for k, pi in enumerate(job.prefix))
     return f"{head} | {format_pairing(job.pairing)} | {toks}"
 
@@ -385,15 +385,19 @@ def parse_job(line: str) -> JobDescriptor:
     pn, pairing = parse_pairing(parts[1])
     if pn != config.n:
         raise ValueError("pairing size disagrees with config")
-    pairs = [(s, p) for s, p in enumerate(pairing) if s < p]
+    pairs = pairs_of(pairing)
+    toks = parts[2].split()
+    if len(toks) > len(pairs):
+        raise ValueError(f"prefix has {len(toks)} tokens but the pairing "
+                         f"has only {len(pairs)} pairs")
     prefix = []
-    for k, tok in enumerate(parts[2].split()):
+    for (s, p), tok in zip(pairs, toks):
         slot, _, rest = tok.partition("=")
         tet, _, pi = rest.partition(":")
         s1, pi = int(slot), int(pi)
-        if s1 != pairs[k][0] or int(tet) != pairing[s1] // 4:
+        if s1 != s or int(tet) != p // 4:
             raise ValueError(f"prefix token {tok!r} does not match the pairing")
-        if pi not in GLUING_PERMS[s1 % 4][pairing[s1] % 4]:
+        if pi not in GLUING_PERMS[s % 4][p % 4]:
             raise ValueError(f"prefix token {tok!r} is not a face gluing")
         prefix.append(pi)
     return JobDescriptor(config, index, pairing, tuple(prefix))

@@ -312,7 +312,14 @@ def test_contract_violations_exit_one(tmp_path, capsys):
     rc, _, _ = run_cli(capsys, "jobs", "--size", "1", "--depth", "1",
                        "--out", str(jobs))
     assert rc == 0
-    line = jobs.read_text().splitlines()[1]
+    head, line = jobs.read_text().splitlines()[:2]
+    # n=1 has two pairs, so a third prefix token is one too many
+    longer = tmp_path / "longer.txt"
+    longer.write_text(f"{head}\n{line} 2=0:6 2=0:6\n")
+    for argv in (["run-job", "--in", str(longer)], ["merge", "--jobs", str(longer)]):
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, out) == (1, ""), argv
+        assert err == "error: prefix has 3 tokens but the pairing has only 2 pairs\n"
     jobs.write_text(line.replace(" level=2", "") + "\n")
     rc, _, err = run_cli(capsys, "run-job", "--in", str(jobs))
     assert rc == 1

@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 
 from conftest import census, fast_backend_available, needs_fast
 from linkcensus.core import decode_signature, is_orientable
-from linkcensus.fpg import enumerate_pairings
+from linkcensus.fpg import enumerate_pairings, pairs_of
 from linkcensus.perms import GLUING_PERMS
 from linkcensus.search import (
     COUNTERS,
     JobDescriptor,
     PairingRow,
     SearchConfig,
-    check_coverage,
     enumerate_census,
     format_job,
     load_backend,
@@ -150,14 +149,14 @@ def test_split_run_merge_reproduces_census(depth):
     config = SearchConfig(n=2)
     jobs, partial = split_jobs(config, depth)
     results = [run_job(job) for job in jobs]
-    assert merge(results + [partial]) == census(2)
+    assert merge(results + [partial], jobs) == census(2)
     if depth == 0:
         # one job per pairing, replaying from the root
         assert [j.prefix for j in jobs] == [()] * len(list(enumerate_pairings(2)))
     if depth == 99:
         # cap beyond the tree: nothing left to do
         assert jobs == []
-        assert merge([partial]) == census(2)
+        assert merge([partial], jobs) == census(2)
 
 
 @needs_fast
@@ -166,10 +165,10 @@ def test_jobs_transfer_between_backends():
     config = SearchConfig(n=2)
     jobs, partial = split_jobs(config, 2, backend="py")
     results = [run_job(job, backend="fast") for job in jobs]
-    assert merge(results + [partial]) == census(2)
+    assert merge(results + [partial], jobs) == census(2)
     jobs, partial = split_jobs(config, 2, backend="fast")
     results = [run_job(job, backend="py") for job in jobs]
-    assert merge(results + [partial]) == census(2)
+    assert merge(results + [partial], jobs) == census(2)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -276,7 +275,7 @@ def test_result_dict_roundtrip():
         with pytest.raises(ValueError, match="malformed result"):
             result_from_dict(bad(data))
     jobs, _ = split_jobs(SearchConfig(n=2), 1)
-    part = merge([run_job(job) for job in jobs])
+    part = merge([run_job(job) for job in jobs], jobs)
     back = result_from_dict(result_to_dict(part))
     assert back == part and back.jobs == part.jobs == tuple(j.id for j in jobs)
 
@@ -313,6 +312,57 @@ def test_job_line_rejects_tampering():
     # the previous format carried a force_level0= key
     with pytest.raises(ValueError, match="unknown key 'force_level0'"):
         parse_job(line.replace(" index=", " force_level0=0 index="))
+    # n=1 has two pairs: a third token must not index past them
+    with pytest.raises(ValueError, match="3 tokens but the pairing has only 2"):
+        parse_job("n=1 mode=all level=2 index=0 | 1 ; 0.1 0.0 0.3 0.2 "
+                  "| 0=0:1 2=0:6 2=0:6")
+
+
+@functools.lru_cache(maxsize=None)
+def _n2_job_lines() -> list[str]:
+    return [format_job(job) for job in split_jobs(SearchConfig(n=2), 2)[0]]
+
+
+def _prefix_tokens(pairing: tuple[int, ...]) -> list[str]:
+    """Every well-formed prefix token of the pairing, in pair order."""
+    return [f"{s}={p // 4}:{pi}" for s, p in pairs_of(pairing)
+            for pi in GLUING_PERMS[s % 4][p % 4]]
+
+
+#: (operation, position, second position or pool entry)
+EDITS = st.tuples(st.sampled_from(("drop", "duplicate", "swap", "append")),
+                  st.integers(0, 99), st.integers(0, 99))
+
+
+@given(st.integers(0, 99), st.lists(EDITS, max_size=8))
+# extend a depth-2 prefix with tokens for pairs 2 and 3, then one more
+@example(0, [("append", 0, 12), ("append", 0, 18), ("append", 0, 0)])
+@settings(max_examples=200, deadline=None)
+def test_parse_job_raises_only_value_error(which, edits):
+    """A job line whose prefix tokens were dropped, duplicated, swapped
+    or appended parses to a job or raises ValueError, nothing else."""
+    lines = _n2_job_lines()
+    line = lines[which % len(lines)]
+    head, pairing, prefix = line.split(" | ")
+    toks = prefix.split()
+    pool = _prefix_tokens(parse_job(line).pairing)
+    for op, i, j in edits:
+        if op == "append":
+            toks.append(pool[j % len(pool)])
+        elif not toks:
+            continue
+        elif op == "drop":
+            del toks[i % len(toks)]
+        elif op == "duplicate":
+            toks.insert(i % len(toks), toks[i % len(toks)])
+        else:
+            i, j = i % len(toks), j % len(toks)
+            toks[i], toks[j] = toks[j], toks[i]
+    try:
+        job = parse_job(f"{head} | {pairing} | {' '.join(toks)}")
+    except ValueError:
+        return
+    assert isinstance(job, JobDescriptor) and len(job.prefix) == len(toks)
 
 
 @functools.lru_cache(maxsize=None)
@@ -326,36 +376,44 @@ def _n3_jobs():
 @example([frozenset({k % 3}) for k in range(15)])  # every job once
 @settings(max_examples=80, deadline=None)
 def test_merge_counts_every_job_exactly_once(homes):
-    """Jobs dealt to up to three parts: some to none, some to two."""
+    """Jobs dealt to up to three parts: some to none, some to two.  Each
+    part is merged with the jobs dealt to it."""
     jobs, partial, results = _n3_jobs()
     assert len(jobs) == 15
-    parts = [merge([r for r, home in zip(results, homes) if k in home])
-             for k in range(3) if any(k in home for home in homes)]
+    dealt = [[k for k, home in enumerate(homes) if part in home]
+             for part in range(3)]
+    parts = [merge([results[k] for k in ks], [jobs[k] for k in ks])
+             for ks in dealt if ks]
     if any(len(home) > 1 for home in homes):
         with pytest.raises(ValueError, match="covered twice"):
-            merge([partial] + parts)
+            merge([partial] + parts, jobs)
         return
-    merged = merge([partial] + parts)
     covered = [job for job, home in zip(jobs, homes) if home]
-    check_coverage(merged, covered)
+    merged = merge([partial] + parts, covered)
+    assert merged.jobs == tuple(sorted(job.id for job in covered))
     if all(homes):
         assert merged == census(3)
     else:
         with pytest.raises(ValueError, match="have no result"):
-            check_coverage(merged, jobs)
+            merge([partial] + parts, jobs)
     if covered:
         with pytest.raises(ValueError, match="not in the jobs file"):
-            check_coverage(merged, covered[1:])
+            merge([partial] + parts, covered[1:])
 
 
 def test_merge_validation():
-    with pytest.raises(ValueError):
-        merge([])
+    with pytest.raises(ValueError, match="nothing to merge"):
+        merge([], [])
     # parts of splits at depths 1 and 2 would count depth-2 subtrees twice
     config = SearchConfig(n=2)
-    shallow, deep = (merge([run_job(job) for job in split_jobs(config, depth)[0]])
-                     for depth in (1, 2))
+    shallow, deep = (split_jobs(config, depth)[0] for depth in (1, 2))
+    parts = [merge([run_job(job) for job in jobs], jobs)
+             for jobs in (shallow, deep)]
     with pytest.raises(ValueError, match="inside another job"):
-        merge([shallow, deep])
+        merge(parts, shallow + deep)
     with pytest.raises(ValueError, match="different configurations"):
-        merge([census(1), census(2)])
+        merge([census(1), census(2)], [])
+    # the jobs belong to the census as much as the results do
+    orientable, _ = split_jobs(SearchConfig(n=2, mode="orientable"), 0)
+    with pytest.raises(ValueError, match="different configurations"):
+        merge([census(2)], orientable)
