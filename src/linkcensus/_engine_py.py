@@ -7,7 +7,7 @@ independent makes job splitting and parallel execution trivial.
 
 from __future__ import annotations
 
-from .core import Triangulation, canonical_sequence, sequence_signature
+from .core import Triangulation, canonical_sequence, is_orientable, sequence_signature
 from .dsu import Outcome, SignedDsu
 from .fpg import pairs_of
 from .linktrack import GlueOutcome, LinkState
@@ -21,33 +21,6 @@ BACKEND_NAME = "py"
 _PRUNED_BY = {GlueOutcome.BAD_EDGE: "prune_edge",
               GlueOutcome.BAD_ORIENT: "prune_orient",
               GlueOutcome.BAD_GENUS: "prune_genus"}
-
-
-def _orientable(n: int, adj: list[int], gl: list[int]) -> bool:
-    # complete connected gluing: odd permutation parity keeps the sign
-    sign = [0] * n
-    sign[0] = 1
-    stack = [0]
-    while stack:
-        t = stack.pop()
-        for f in range(4):
-            s = 4 * t + f
-            u = adj[s] // 4
-            want = sign[t] * -PERM4_SIGN[gl[s]]
-            if sign[u] == 0:
-                sign[u] = want
-                stack.append(u)
-            elif sign[u] != want:
-                return False
-    return True
-
-
-def _leaf_ok_level0(n: int, adj: list[int], gl: list[int]) -> bool:
-    tri = Triangulation.__new__(Triangulation)
-    tri.n = n
-    tri.adj = list(adj)
-    tri.perm = list(gl)
-    return is_3manifold(tri)
 
 
 def search_pairing(n: int, mode: str, level: int, seed: int,
@@ -68,8 +41,8 @@ def search_pairing(n: int, mode: str, level: int, seed: int,
     pairs = pairs_of(pairing)
     total = len(pairs)
     branches = [GLUING_PERMS[s1 % 4][s2 % 4] for s1, s2 in pairs]
-    adj = [-1] * (4 * n)
-    gl = [-1] * (4 * n)
+    tri = Triangulation(n)
+    adj, gl = tri.adj, tri.perm
     ls = LinkState(n, level=level, seed=seed) if level >= 1 else None
     signs = SignedDsu(n) if mode == "orientable" else None
     chosen = [0] * total
@@ -113,7 +86,7 @@ def search_pairing(n: int, mode: str, level: int, seed: int,
     def leaf() -> None:
         count["leaves"] += 1
         if level == 0:
-            if not _leaf_ok_level0(n, adj, gl):
+            if not is_3manifold(tri):
                 return
         elif level == 1:
             if not ls.closed_complex_is_manifold():
@@ -121,7 +94,7 @@ def search_pairing(n: int, mode: str, level: int, seed: int,
         if mode == "orientable":
             orient = True
         else:
-            orient = _orientable(n, adj, gl)
+            orient = is_orientable(tri)
             if mode == "nonorientable" and orient:
                 return
         sig = sequence_signature(n, canonical_sequence(n, adj, gl))

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 
+from . import fpg
 from .perms import (
     EDGE_INDEX,
     EDGE_PAIRS,
@@ -139,13 +140,13 @@ def serialize(tri: Triangulation) -> str:
     return f"{tri.n} ; " + " ; ".join(groups)
 
 
-_TOKEN_RE = re.compile(r"^(\d+):(\d+)$")
+_TOKEN_RE = re.compile(r"^([0-9]+):([0-9]+)$")
 
 
 def parse_table(text: str) -> Triangulation:
     """Parse the `.tri` line format; raises ParseError with the offending slot."""
     parts = [p.strip() for p in text.strip().split(";")]
-    if len(parts) < 1 or not parts[0].isdigit():
+    if not (parts[0].isascii() and parts[0].isdigit()):
         raise ParseError("first field must be the tetrahedron count")
     n = int(parts[0])
     if n < 1:
@@ -250,8 +251,8 @@ def from_human_rows(rows: list[list[str]]) -> Triangulation:
     return tri
 
 
-class _UnionFind:
-    """Plain union-find for closures inside this module."""
+class UnionFind:
+    """Plain union-find: the one closure of the from-scratch invariants."""
 
     def __init__(self, n: int):
         self.parent = list(range(n))
@@ -272,7 +273,7 @@ class _UnionFind:
 
 def vertex_classes(tri: Triangulation) -> list[list[tuple[int, int]]]:
     """Identification classes of the 4n tetrahedron vertices, sorted."""
-    uf = _UnionFind(4 * tri.n)
+    uf = UnionFind(4 * tri.n)
     for s in range(4 * tri.n):
         d = tri.adj[s]
         if d == -1 or d < s:
@@ -287,25 +288,18 @@ def vertex_classes(tri: Triangulation) -> list[list[tuple[int, int]]]:
 
 
 def edge_classes(tri: Triangulation) -> list[tuple[list[tuple[int, int]], bool]]:
-    """Identification classes of the 6n tetrahedron edges.
+    """Identification classes of the 6n tetrahedron edges, sorted.
 
-    Each class comes with a flag: True when a consistent direction can be
-    chosen along the whole class, False when some identification chain maps
-    an edge onto itself reversed.
+    Edge i = 6t + e has two directed slots: 2i runs from its lower vertex
+    to its higher one, 2i + 1 back.  Each gluing joins the directed slots
+    it carries onto each other, so the class of edge i is the pair of
+    roots {find(2i), find(2i + 1)}.  Each class comes with a flag: True
+    when it is directable (the two roots differ, so a consistent direction
+    can be chosen along the whole class), False when some identification
+    chain maps an edge onto itself reversed.
     """
     n6 = 6 * tri.n
-    parent = list(range(n6))
-    rel = [1] * n6  # orientation of element relative to its parent
-    bad: set[int] = set()
-
-    def find(x: int) -> tuple[int, int]:
-        # no path compression: rel bookkeeping stays trivial
-        s = 1
-        while parent[x] != x:
-            s *= rel[x]
-            x = parent[x]
-        return x, s
-
+    uf = UnionFind(2 * n6)
     for s in range(4 * tri.n):
         d = tri.adj[s]
         if d == -1 or d < s:
@@ -315,34 +309,20 @@ def edge_classes(tri: Triangulation) -> list[tuple[list[tuple[int, int]], bool]]
         for e in FACE_EDGES[s % 4]:
             a, b = EDGE_PAIRS[e]
             ia, ib = images[a], images[b]
-            sign = 1 if ia < ib else -1
-            e2 = EDGE_INDEX[(min(ia, ib), max(ia, ib))]
-            x, y = 6 * t1 + e, 6 * t2 + e2
-            rx, sx = find(x)
-            ry, sy = find(y)
-            if rx == ry:
-                if sx * sy != sign:
-                    bad.add(rx)
-                continue
-            parent[ry] = rx
-            rel[ry] = sx * sign * sy
-            if ry in bad:
-                bad.discard(ry)
-                bad.add(rx)
-    groups: dict[int, list[tuple[int, int]]] = {}
+            x = 2 * (6 * t1 + e)
+            y = 2 * (6 * t2 + EDGE_INDEX[(min(ia, ib), max(ia, ib))]) + (ia > ib)
+            uf.union(x, y)
+            uf.union(x + 1, y ^ 1)
+    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for i in range(n6):
-        groups.setdefault(find(i)[0], []).append((i // 6, i % 6))
-    out = [(sorted(g), root not in bad) for root, g in groups.items()]
-    out.sort(key=lambda item: item[0])
-    return out
+        r0, r1 = uf.find(2 * i), uf.find(2 * i + 1)
+        groups.setdefault((min(r0, r1), max(r0, r1)), []).append((i // 6, i % 6))
+    return sorted(((g, r0 != r1) for (r0, r1), g in groups.items()),
+                  key=lambda item: item[0])
 
 
 def is_connected(tri: Triangulation) -> bool:
-    uf = _UnionFind(tri.n)
-    for s in range(4 * tri.n):
-        if tri.adj[s] != -1:
-            uf.union(s // 4, tri.adj[s] // 4)
-    return len({uf.find(t) for t in range(tri.n)}) == 1
+    return fpg.is_connected(tri.adj)
 
 
 def is_orientable(tri: Triangulation) -> bool:
@@ -484,7 +464,7 @@ def decode_signature(sig: str) -> Triangulation:
     read back as the reverse gluing; anything else raises ParseError.
     """
     head, _, body = sig.partition(";")
-    if not head.isdigit() or int(head) < 1:
+    if not (head.isascii() and head.isdigit()) or int(head) < 1:
         raise ParseError("signature must start with a positive tetrahedron count")
     n = int(head)
     if len(body) != 8 * n:

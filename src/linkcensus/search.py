@@ -382,6 +382,8 @@ def parse_job(line: str) -> JobDescriptor:
     config = SearchConfig(n=int(head["n"]), mode=head["mode"],
                           level=int(head["level"]))
     index = int(head["index"])
+    if index < 0:
+        raise ValueError(f"job index {index} is negative")
     pn, pairing = parse_pairing(parts[1])
     if pn != config.n:
         raise ValueError("pairing size disagrees with config")

@@ -1,12 +1,15 @@
 """Naive from-scratch validators used as test oracles and leaf checks.
 
-Everything here is written directly against the gluing table with plain
-closures; none of the incremental machinery (signed union-find, cyclic
-skip lists, link tracking) is used.  The point is independence: when the
-fast path and this module agree on thousands of randomized cases, a shared
-systematic bug is unlikely.  Only the numbering conventions of `perms`
-are shared (faces, edges, link edges and their arrows): a copy of a
-convention would agree with it by construction, so it adds no check.
+Everything here is written directly against the gluing table with the
+plain closures of `core` (its union-find and `edge_classes`) and
+`fpg.is_connected`; none of the incremental machinery (signed union-find,
+cyclic skip lists, link tracking) is used.  The point is independence:
+when the fast path and this module agree on thousands of randomized
+cases, a shared systematic bug is unlikely.  `check_edges` is derived
+from `edge_classes`, the one directed-edge closure.  Only the numbering
+conventions of `perms` are shared (faces, edges, link edges and their
+arrows): a copy of a convention would agree with it by construction, so
+it adds no check.
 """
 
 from __future__ import annotations
@@ -14,11 +17,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import Triangulation, is_connected, is_orientable, relabel, serialize
+from .core import (
+    Triangulation,
+    UnionFind,
+    edge_classes,
+    is_orientable,
+    relabel,
+    serialize,
+)
+from .fpg import is_connected
 from .perms import (
-    EDGE_INDEX,
-    EDGE_PAIRS,
-    FACE_EDGES,
     FACE_VERTICES,
     FACES_AT_VERTEX,
     GLUING_PERMS,
@@ -42,24 +50,6 @@ def _link_edge_id(t: int, v: int, f: int) -> int:
 def _corner_id(t: int, v: int, w: int) -> int:
     others = tuple(x for x in range(4) if x != v)
     return 12 * t + 3 * v + others.index(w)
-
-
-class _Closure:
-    """Minimal union-find, local to this module on purpose."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        r = x
-        while self.parent[r] != r:
-            r = self.parent[r]
-        while self.parent[x] != r:
-            self.parent[x], x = r, self.parent[x]
-        return r
-
-    def union(self, a: int, b: int) -> None:
-        self.parent[self.find(a)] = self.find(b)
 
 
 @dataclass
@@ -105,8 +95,8 @@ def build_links(tri: Triangulation) -> list[LinkSurfaceReport]:
     boundary.  One report per vertex class, in vertex-class order.
     """
     n = tri.n
-    corners = _Closure(12 * n)
-    tris = _Closure(4 * n)
+    corners = UnionFind(12 * n)
+    tris = UnionFind(4 * n)
     glued: dict[int, tuple[int, int]] = {}  # link edge id -> (other id, rel sign)
 
     for (t1, v1, f1), (t2, v2, f2), images in _link_gluings(tri):
@@ -231,42 +221,10 @@ def check_edges(tri: Triangulation) -> list[list[tuple[int, int]]]:
     """Edge classes identified with themselves in reverse.
 
     Returns the offending classes as sorted (tet, edge index) lists; empty
-    means condition (ii) holds.  Plain closure over directed edge slots.
+    means condition (ii) holds.  These are the classes `edge_classes` finds
+    not directable.
     """
-    n = tri.n
-    uf = _Closure(12 * n)  # 6n edges x 2 directions
-    for s in range(4 * tri.n):
-        d = tri.adj[s]
-        if d == -1 or d < s:
-            continue
-        t1, t2 = s // 4, d // 4
-        images = PERM4_IMAGES[tri.perm[s]]
-        for e in FACE_EDGES[s % 4]:
-            a, b = EDGE_PAIRS[e]
-            ia, ib = images[a], images[b]
-            e2 = EDGE_INDEX[(min(ia, ib), max(ia, ib))]
-            fwd = 1 if ia < ib else 0
-            uf.union(12 * t1 + 2 * e + 1, 12 * t2 + 2 * e2 + fwd)
-            uf.union(12 * t1 + 2 * e, 12 * t2 + 2 * e2 + 1 - fwd)
-    bad = []
-    seen = set()
-    for t in range(n):
-        for e in range(6):
-            i = 12 * t + 2 * e
-            if uf.find(i) != uf.find(i + 1):
-                continue
-            root = uf.find(i)
-            if root in seen:
-                continue
-            seen.add(root)
-            members = sorted(
-                (u, g)
-                for u in range(n)
-                for g in range(6)
-                if uf.find(12 * u + 2 * g) == root
-            )
-            bad.append(members)
-    return bad
+    return [members for members, directable in edge_classes(tri) if not directable]
 
 
 def is_3manifold(tri: Triangulation) -> bool:
@@ -286,10 +244,7 @@ def _all_pairings(n: int):
     def helper(pairs):
         free = [s for s in range(4 * n) if adj[s] == -1]
         if not free:
-            uf = _Closure(n)
-            for a, b in pairs:
-                uf.union(a // 4, b // 4)
-            if len({uf.find(t) for t in range(n)}) == 1:
+            if is_connected(adj):
                 yield list(pairs)
             return
         s = free[0]

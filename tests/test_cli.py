@@ -255,10 +255,17 @@ def test_validate_verdicts(tmp_path, capsys):
 
 
 def test_validate_reads_stdin_and_flags_parse_errors(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO("not a table\n"))
+    good = serialize(decode_signature(census(1).signatures()[0]))
+    # a superscript two passes isdigit() but not int(): still a parse
+    # error, and the lines after it are still checked
+    monkeypatch.setattr("sys.stdin", io.StringIO(
+        f"not a table\n\u00b2 ; - - - -\n{good}\n"))
     rc, out, _ = run_cli(capsys, "validate")
     assert rc == 1
-    assert out.splitlines()[0].startswith("0: parse error:")
+    lines = out.splitlines()
+    assert lines[0].startswith("0: parse error:")
+    assert lines[1] == "1: parse error: first field must be the tetrahedron count"
+    assert lines[2:] == ["2: manifold"]
 
 
 def test_fpg_listing(capsys):
@@ -324,6 +331,10 @@ def test_contract_violations_exit_one(tmp_path, capsys):
     rc, _, err = run_cli(capsys, "run-job", "--in", str(jobs))
     assert rc == 1
     assert err == "error: job line lacks level=\n"
+    jobs.write_text(line.replace(" index=0 ", " index=-1 ") + "\n")
+    rc, out, err = run_cli(capsys, "run-job", "--in", str(jobs))
+    assert (rc, out) == (1, "")
+    assert err == "error: job index -1 is negative\n"
 
 
 def test_usage_errors_exit_two(capsys):

@@ -98,10 +98,12 @@ def test_serialize_parse_roundtrip():
 
 @pytest.mark.parametrize("text,message", [
     ("x ; - - - -", "first field"),
+    ("\u00b2 ; - - - -", "first field"),  # a digit to isdigit(), not to int()
     ("0 ;", "must be positive"),
     ("2 ; - - - -", "expected 2 tetrahedron groups"),
     ("1 ; - - -", "expected 4 tokens"),
     ("1 ; 0:zz - - -", "bad token"),
+    ("1 ; \u0660:\u0662 - - -", "bad token"),  # Arabic-Indic 0:2
     ("1 ; 3:0 - - - ", "out of range"),
     ("1 ; 0:99 - - -", "permutation index 99"),
     ("1 ; 0:2 - - -", "glued to itself"),
@@ -206,6 +208,8 @@ def test_decode_signature_errors():
         decode_signature("not a signature")
     with pytest.raises(ParseError, match="positive"):
         decode_signature("0;")
+    with pytest.raises(ParseError, match="positive"):
+        decode_signature("\u00b2;" + "0" * 16)
     with pytest.raises(ParseError, match="bad signature digit"):
         decode_signature("1;0_000000")
     with pytest.raises(ParseError, match="out of range"):

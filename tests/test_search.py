@@ -309,6 +309,8 @@ def test_job_line_rejects_tampering():
         parse_job(line.replace(" index=", " seed=0 index="))
     with pytest.raises(ValueError, match="unknown key 'x'"):
         parse_job("x " + line)
+    with pytest.raises(ValueError, match="job index -1 is negative"):
+        parse_job(line.replace(" index=0 ", " index=-1 "))
     # the previous format carried a force_level0= key
     with pytest.raises(ValueError, match="unknown key 'force_level0'"):
         parse_job(line.replace(" index=", " force_level0=0 index="))

@@ -1,7 +1,12 @@
 """From-scratch link surfaces, edge conditions, and the brute census."""
 
+import ast
+import random
+from pathlib import Path
+
 import pytest
 
+import linkcensus
 from linkcensus.core import (
     Triangulation,
     edge_classes,
@@ -10,6 +15,8 @@ from linkcensus.core import (
     iso_signature,
     vertex_classes,
 )
+from linkcensus.fpg import pairs_of
+from linkcensus.linktrack import GlueOutcome, LinkState
 from linkcensus.perms import GLUING_PERMS, FaceSlot
 from linkcensus.validate import (
     brute_census,
@@ -17,7 +24,7 @@ from linkcensus.validate import (
     check_edges,
     is_3manifold,
 )
-from oracles import TORUS_LINK_ROWS
+from oracles import TORUS_LINK_ROWS, random_pairing
 
 
 def test_fresh_tet_links_are_discs():
@@ -92,3 +99,49 @@ def test_brute_census_smallest():
 def test_brute_census_size_gate():
     with pytest.raises(ValueError):
         brute_census(3)
+
+
+def test_edge_classes_match_the_incremental_tracker():
+    """After every gluing the tracker accepts, the from-scratch classes
+    are the tracker's components, and each one is directable."""
+    checks = 0
+    for trial in range(200):
+        rng = random.Random(trial)
+        n = rng.randint(1, 4)
+        tri = Triangulation(n)
+        ls = LinkState(n, level=1)
+        pairs = pairs_of(random_pairing(n, rng))
+        rng.shuffle(pairs)
+        for s, p in pairs:
+            pi = rng.choice(GLUING_PERMS[s % 4][p % 4])
+            out, _ = ls.glue_faces(s // 4, s % 4, p // 4, p % 4, pi)
+            if out is not GlueOutcome.OK:
+                continue
+            tri.glue(FaceSlot.from_index(s), FaceSlot.from_index(p), pi)
+            tracked: dict[int, list[tuple[int, int]]] = {}
+            for i in range(6 * n):
+                tracked.setdefault(ls.edge_cls.find(i)[0], []).append((i // 6, i % 6))
+            classes = edge_classes(tri)
+            assert [members for members, _ in classes] == sorted(tracked.values())
+            assert all(directable for _, directable in classes)
+            checks += 1
+    assert checks > 500
+
+
+def _imported_modules(path: Path) -> set[str]:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return {part for name in names for part in name.split(".")}
+
+
+@pytest.mark.parametrize("module", ["validate.py", "core.py"])
+def test_oracles_avoid_the_incremental_machinery(module):
+    """The from-scratch checks stay independent of what they check."""
+    imported = _imported_modules(Path(linkcensus.__file__).parent / module)
+    assert not imported & {"dsu", "skiplist", "linktrack"}
