@@ -12,7 +12,6 @@ whole branch is dropped.
 __version__ = "0.1.0"
 
 from .core import Triangulation, iso_signature, parse_table, serialize
-from .perms import FaceSlot, Perm3, Perm4
 from .search import (
     CensusResult,
     JobDescriptor,
@@ -25,10 +24,7 @@ from .search import (
 
 __all__ = [
     "CensusResult",
-    "FaceSlot",
     "JobDescriptor",
-    "Perm3",
-    "Perm4",
     "SearchConfig",
     "Triangulation",
     "enumerate_census",

@@ -95,6 +95,8 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_fpg(args) -> int:
+    if args.size < 1:
+        raise ValueError("size must be at least 1")
     with _output(args.out) as out:
         for fp in enumerate_pairings(args.size):
             line = format_pairing(fp)
@@ -157,16 +159,17 @@ def _cmd_merge(args) -> int:
 
 def _cmd_bench(args) -> int:
     levels = ([0] if args.size <= LEVEL0_SIZE_CAP else []) + [1, 2]
+    configs = [SearchConfig(n=args.size, mode=args.mode, level=level)
+               for level in levels]
     print(f"backend={load_backend().BACKEND_NAME}")
     print(",".join(("level", *COUNTERS, "kept", "seconds")))
     timed: dict[int, tuple[CensusResult, float]] = {}
-    for level in levels:
-        config = SearchConfig(n=args.size, mode=args.mode, level=level)
+    for config in configs:
         t0 = time.perf_counter()
         result = enumerate_census(config)
         wall = time.perf_counter() - t0
-        timed[level] = (result, wall)
-        print(",".join(map(str, (level, *result.counts().values(),
+        timed[config.level] = (result, wall)
+        print(",".join(map(str, (config.level, *result.counts().values(),
                                  result.total, f"{wall:.3f}"))))
     kept = {lvl: sorted(res.signatures()) for lvl, (res, _) in timed.items()}
     if len(set(map(tuple, kept.values()))) != 1:
@@ -182,9 +185,8 @@ def _cmd_bench(args) -> int:
                 eng = load_backend(backend)
             except RuntimeError:
                 continue
-            config = SearchConfig(n=args.size, mode=args.mode)
             t0 = time.perf_counter()
-            res = enumerate_census(config, backend=backend)
+            res = enumerate_census(configs[-1], backend=backend)
             wall = time.perf_counter() - t0
             if res.signatures() != kept[2]:
                 raise AssertionError(f"backend {backend} disagrees on the census")

@@ -1,10 +1,10 @@
 """Combinatorial triangulations: gluing tables, text formats, invariants.
 
 A triangulation of size n is n abstract tetrahedra with some of their 4n
-faces glued in pairs.  A gluing rebrands face `f1` of tetrahedron `t1` as
-face `f2` of `t2` via a Perm4 carrying vertices of t1 to vertices of t2;
-the stored table always keeps both directions consistent (the reverse slot
-holds the inverse permutation).
+faces glued in pairs.  Face f of tetrahedron t is slot 4t + f.  A gluing
+(s, d, pi) rebrands slot s as slot d via the Perm4 index pi carrying the
+vertices of s's tetrahedron to those of d's; the stored table keeps both
+directions consistent (the reverse slot holds the inverse permutation).
 
 The serialized form is one line:
 
@@ -32,8 +32,6 @@ from .perms import (
     PERM4_INV,
     PERM4_MUL,
     PERM4_SIGN,
-    FaceSlot,
-    Perm4,
     extend_face_perm,
 )
 
@@ -84,39 +82,36 @@ class Triangulation:
     def is_complete(self) -> bool:
         return -1 not in self.adj
 
-    def glue(self, src: FaceSlot, dst: FaceSlot, p: Perm4 | int) -> None:
-        """Glue two distinct unglued slots; p maps src verts to dst verts."""
-        pi = p.index if isinstance(p, Perm4) else p
-        s, d = src.index(), dst.index()
-        if s == d:
-            raise ValueError(f"cannot glue {src} to itself")
+    def glue(self, s: int, d: int, pi: int) -> None:
+        """Glue slot s to slot d by the Perm4 index pi.
+
+        Both slots must be in range, distinct and unglued, pi must be in
+        range and carry face s % 4 onto face d % 4; anything else raises
+        ValueError and leaves the table as it was.
+        """
         if not (0 <= s < 4 * self.n and 0 <= d < 4 * self.n):
-            raise ValueError("slot out of range")
+            raise ValueError(f"slots {s}, {d}: out of range 0..{4 * self.n - 1}")
+        if not 0 <= pi < 24:
+            raise ValueError(f"permutation index {pi} out of range 0..23")
+        if s == d:
+            raise ValueError(f"cannot glue slot {s} to itself")
         if self.adj[s] != -1 or self.adj[d] != -1:
-            raise ValueError(f"slot already glued: {src if self.adj[s] != -1 else dst}")
-        if PERM4_IMAGES[pi][FACE_OPPOSITE[src.face]] != FACE_OPPOSITE[dst.face]:
-            raise ValueError(
-                f"permutation {PERM4_IMAGES[pi]} does not carry face {src.face} "
-                f"to face {dst.face}"
-            )
+            raise ValueError(f"slot already glued: {s if self.adj[s] != -1 else d}")
+        if _PARTNER_FACE[s % 4][pi] != d % 4:
+            raise ValueError(f"permutation {pi} does not carry face {s % 4} "
+                             f"to face {d % 4}")
         self.adj[s] = d
         self.perm[s] = pi
         self.adj[d] = s
         self.perm[d] = PERM4_INV[pi]
 
-    def unglue(self, slot: FaceSlot) -> None:
-        s = slot.index()
+    def unglue(self, s: int) -> None:
+        """Undo the gluing at slot s, from either of its two slots."""
+        if not (0 <= s < 4 * self.n and self.adj[s] != -1):
+            raise ValueError(f"slot {s} is not glued")
         d = self.adj[s]
-        if d == -1:
-            raise ValueError(f"slot {slot} is not glued")
         self.adj[s] = self.adj[d] = -1
         self.perm[s] = self.perm[d] = -1
-
-    def gluing_of(self, slot: FaceSlot) -> tuple[FaceSlot, Perm4] | None:
-        s = slot.index()
-        if self.adj[s] == -1:
-            return None
-        return FaceSlot.from_index(self.adj[s]), Perm4.from_index(self.perm[s])
 
     def audit(self) -> None:
         """Check the involution invariants; raises AssertionError on corruption."""
@@ -130,8 +125,7 @@ class Triangulation:
             assert self.perm[d] == PERM4_INV[self.perm[s]], (
                 f"slots {s},{d} perms not inverse"
             )
-            fs, fd = s % 4, d % 4
-            assert PERM4_IMAGES[self.perm[s]][FACE_OPPOSITE[fs]] == FACE_OPPOSITE[fd]
+            assert _PARTNER_FACE[s % 4][self.perm[s]] == d % 4
 
 
 def serialize(tri: Triangulation) -> str:
@@ -186,7 +180,7 @@ def parse_table(text: str) -> Triangulation:
             raise ParseError(f"slot {dt}:{df}: missing reverse gluing for {s // 4}:{s % 4}")
         if back != (s // 4, PERM4_INV[pi]):
             raise ParseError(f"slot {dt}:{df}: reverse gluing inconsistent")
-        tri.glue(FaceSlot.from_index(s), FaceSlot.from_index(d), pi)
+        tri.glue(s, d, pi)
         done.add(s)
         done.add(d)
     return tri
@@ -238,15 +232,17 @@ def from_human_rows(rows: list[list[str]]) -> Triangulation:
             who = m.group(1)
             dt = _TET_NAMES.index(who.upper()) if who.isalpha() else int(who)
             images = tuple(int(m.group(i)) for i in (2, 3, 4))
-            src = FaceSlot(t, f)
-            dst_face = FACE_OF_VERTICES[tuple(sorted(images))]
-            p = extend_face_perm(src, dst_face, images)
-            if tri.adj[src.index()] != -1:
+            dst_face = FACE_OF_VERTICES.get(tuple(sorted(images)))
+            if dst_face is None:
+                raise ParseError(f"row {t} face {f}: bad cell {cell!r}")
+            s, d = 4 * t + f, 4 * dt + dst_face
+            pi = extend_face_perm(f, dst_face, images)
+            if tri.adj[s] != -1:
                 # reverse of an earlier cell; just check consistency
-                if tri.adj[src.index()] != 4 * dt + dst_face or tri.perm[src.index()] != p.index:
+                if tri.adj[s] != d or tri.perm[s] != pi:
                     raise ParseError(f"row {t} face {f}: inconsistent with earlier cell")
                 continue
-            tri.glue(src, FaceSlot(dt, dst_face), p)
+            tri.glue(s, d, pi)
     tri.audit()
     return tri
 
@@ -366,9 +362,8 @@ def relabel(tri: Triangulation, tet_map: list[int], vertex_maps: list[int]) -> T
         r1, r2 = vertex_maps[t1], vertex_maps[t2]
         # new gluing permutation: r2 . old . r1^-1
         p = PERM4_MUL[PERM4_MUL[r2][tri.perm[s]]][PERM4_INV[r1]]
-        nf1 = FACE_OPPOSITE.index(PERM4_IMAGES[r1][FACE_OPPOSITE[f1]])
-        nf2 = FACE_OPPOSITE.index(PERM4_IMAGES[r2][FACE_OPPOSITE[f2]])
-        out.glue(FaceSlot(tet_map[t1], nf1), FaceSlot(tet_map[t2], nf2), p)
+        out.glue(4 * tet_map[t1] + _PARTNER_FACE[f1][r1],
+                 4 * tet_map[t2] + _PARTNER_FACE[f2][r2], p)
     return out
 
 
@@ -399,7 +394,7 @@ def canonical_sequence(n: int, adj: list[int], perm: list[int]) -> list[int]:
                 ot = old_of_new[nt]
                 r = rho[ot]
                 # face nf of the relabelled tet is face of of the original
-                of = FACE_OPPOSITE.index(PERM4_IMAGES[PERM4_INV[r]][FACE_OPPOSITE[nf]])
+                of = _PARTNER_FACE[nf][PERM4_INV[r]]
                 s = 4 * ot + of
                 d = adj[s]
                 dt = d // 4

@@ -21,6 +21,7 @@ and `is_canonical`.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterator, Sequence
 
 Pairing = tuple[int, ...]
@@ -51,19 +52,20 @@ def graph_summary(fp: Pairing) -> str:
     return f"loops {ltxt} ; edges {etxt}"
 
 
-def is_connected(fp: Pairing) -> bool:
-    n = len(fp) // 4
-    parent = list(range(n))
+def is_connected(fp: Sequence[int]) -> bool:
+    """Whether the matching reaches every tetrahedron from tetrahedron 0.
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in graph_of(fp):
-        parent[find(u)] = find(v)
-    return sum(1 for t in range(n) if find(t) == t) == 1
+    fp may be a partial matching: its -1 slots join nothing.
+    """
+    seen = {0}
+    stack = [0]
+    while stack:
+        t = stack.pop()
+        for p in fp[4 * t:4 * t + 4]:
+            if p >= 0 and p // 4 not in seen:
+                seen.add(p // 4)
+                stack.append(p // 4)
+    return len(seen) == len(fp) // 4
 
 
 def _relabelling_beats(fp: Sequence[int], limit: int) -> bool:
@@ -205,17 +207,26 @@ def format_pairing(fp: Pairing) -> str:
     return f"{len(fp) // 4} ; {toks}"
 
 
+_PARTNER_RE = re.compile(r"([0-9]+)\.([0-3])")
+
+
 def parse_pairing(line: str) -> tuple[int, Pairing]:
+    """Inverse of `format_pairing`; any other text raises ValueError."""
     head, _, body = line.partition(";")
-    n = int(head.strip())
+    head = head.strip()
+    if not (head.isascii() and head.isdigit()):
+        raise ValueError("pairing must start with its tetrahedron count")
+    n = int(head)
     toks = body.split()
     if len(toks) != 4 * n:
         raise ValueError(f"expected {4 * n} partner tokens, got {len(toks)}")
     fp = []
     for tok in toks:
-        t, _, f = tok.partition(".")
-        fp.append(4 * int(t) + int(f))
+        m = _PARTNER_RE.fullmatch(tok)
+        if not m or int(m.group(1)) >= n:
+            raise ValueError(f"bad partner token {tok!r}")
+        fp.append(4 * int(m.group(1)) + int(m.group(2)))
     for s, p in enumerate(fp):
-        if not 0 <= p < 4 * n or p == s or fp[p] != s:
+        if p == s or fp[p] != s:
             raise ValueError(f"slot {s} is not consistently paired")
     return n, tuple(fp)

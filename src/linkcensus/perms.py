@@ -1,9 +1,9 @@
 """Permutations of 3 and 4 elements plus tetrahedron face conventions.
 
-Everything downstream (gluing tables, link tracking, signatures) works with
-Perm4 values as plain integer indices into the tables below, so the tables
-are the real interface; the Perm3/Perm4 classes are thin wrappers for code
-that wants validation and nice reprs.
+A permutation is a plain integer: its index into the image tables below.
+A gluing slot is the integer 4t + f, face f of tetrahedron t, and a gluing
+is the three integers (slot, partner slot, Perm4 index) everywhere: in the
+search, both kernels, the signatures and every text format.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -19,7 +19,6 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 PERM3_IMAGES: tuple[tuple[int, int, int], ...] = tuple(
     itertools.permutations(range(3))
@@ -109,129 +108,33 @@ LINK_ALONG: tuple[tuple[int, ...], ...] = tuple(
 )
 
 
-def apply_perm4(p: int, v: int) -> int:
-    return PERM4_IMAGES[p][v]
-
-
-def compose(p: int, q: int) -> int:
-    """Index of the permutation sending v to p(q(v))."""
-    return PERM4_MUL[p][q]
-
-
-def invert(p: int) -> int:
-    return PERM4_INV[p]
-
-
-@dataclass(frozen=True)
-class FaceSlot:
-    """One of the 4n gluing slots: face `face` of tetrahedron `tet`."""
-
-    tet: int
-    face: int
-
-    def __post_init__(self):
-        if self.tet < 0:
-            raise ValueError(f"negative tetrahedron index {self.tet}")
-        if not 0 <= self.face <= 3:
-            raise ValueError(f"face index {self.face} out of range 0..3")
-
-    def index(self) -> int:
-        return 4 * self.tet + self.face
-
-    @staticmethod
-    def from_index(i: int) -> "FaceSlot":
-        return FaceSlot(i // 4, i % 4)
-
-
-@dataclass(frozen=True)
-class Perm3:
-    """A permutation of {0,1,2}; `images[i]` is the image of i."""
-
-    images: tuple[int, int, int]
-
-    def __post_init__(self):
-        if sorted(self.images) != [0, 1, 2]:
-            raise ValueError(f"not a permutation of 0..2: {self.images}")
-
-    @property
-    def index(self) -> int:
-        return PERM3_IMAGES.index(self.images)
-
-    @staticmethod
-    def from_index(i: int) -> "Perm3":
-        return Perm3(PERM3_IMAGES[i])
-
-    def on_face(self, face: int) -> tuple[int, int, int]:
-        """Realize this abstract permutation as destination vertices of `face`."""
-        fv = FACE_VERTICES[face]
-        return tuple(fv[i] for i in self.images)
-
-
-@dataclass(frozen=True)
-class Perm4:
-    """A permutation of the four tetrahedron vertices."""
-
-    images: tuple[int, int, int, int]
-
-    def __post_init__(self):
-        if sorted(self.images) != [0, 1, 2, 3]:
-            raise ValueError(f"not a permutation of 0..3: {self.images}")
-
-    @property
-    def index(self) -> int:
-        return PERM4_INDEX[self.images]
-
-    @property
-    def parity(self) -> int:
-        """0 for even, 1 for odd."""
-        return 0 if PERM4_SIGN[self.index] == 1 else 1
-
-    @staticmethod
-    def from_index(i: int) -> "Perm4":
-        return Perm4(PERM4_IMAGES[i])
-
-    def __call__(self, v: int) -> int:
-        return self.images[v]
-
-    def compose(self, other: "Perm4") -> "Perm4":
-        """self after other: (self.compose(other))(v) == self(other(v))."""
-        return Perm4.from_index(PERM4_MUL[self.index][other.index])
-
-    def inverse(self) -> "Perm4":
-        return Perm4.from_index(PERM4_INV[self.index])
-
-
-def extend_face_perm(src: FaceSlot, dst_face: int, images) -> Perm4:
-    """Extend a face correspondence to a Perm4.
+def extend_face_perm(f1: int, f2: int, images) -> int:
+    """Perm4 index gluing face f1 to face f2.
 
     `images` gives, in order, the destination vertices of the three sorted
-    vertices of the source face; they must be exactly the vertices of
-    `dst_face` in some order.  The omitted vertex maps to the omitted
-    vertex.  A Perm3 is also accepted and is realized on `dst_face` first.
+    vertices of face f1; they must be exactly the vertices of face f2 in
+    some order.  The omitted vertex maps to the omitted vertex.
     """
-    if isinstance(images, Perm3):
-        images = images.on_face(dst_face)
     images = tuple(images)
-    if len(images) != 3 or len(set(images)) != 3:
-        raise ValueError(f"invalid image triple {images}")
-    if sorted(images) != list(FACE_VERTICES[dst_face]):
+    if sorted(images) != list(FACE_VERTICES[f2]):
         raise ValueError(
-            f"image vertices {images} are not the vertices of face {dst_face}"
+            f"image vertices {images} are not the vertices of face {f2}"
         )
-    full = [None] * 4
-    for v, w in zip(FACE_VERTICES[src.face], images):
+    full = [0] * 4
+    for v, w in zip(FACE_VERTICES[f1], images):
         full[v] = w
-    full[FACE_OPPOSITE[src.face]] = FACE_OPPOSITE[dst_face]
-    return Perm4(tuple(full))
+    full[FACE_OPPOSITE[f1]] = FACE_OPPOSITE[f2]
+    return PERM4_INDEX[tuple(full)]
 
 
-# GLUING_PERMS[f1][f2][k] = Perm4 index gluing face f1 to face f2 via the
-# k-th Perm3, the six search branches in canonical order.
+# GLUING_PERMS[f1][f2][k] = Perm4 index gluing face f1 to face f2 by the
+# k-th permutation of PERM3_IMAGES applied to face f2's sorted vertices:
+# the six search branches in canonical order.
 GLUING_PERMS: tuple[tuple[tuple[int, ...], ...], ...] = tuple(
     tuple(
         tuple(
-            extend_face_perm(FaceSlot(0, f1), f2, Perm3.from_index(k)).index
-            for k in range(6)
+            extend_face_perm(f1, f2, (FACE_VERTICES[f2][i] for i in images))
+            for images in PERM3_IMAGES
         )
         for f2 in range(4)
     )

@@ -32,7 +32,6 @@ from .perms import (
     GLUING_PERMS,
     LINK_ALONG,
     PERM4_IMAGES,
-    FaceSlot,
 )
 
 # Other two vertices of face f besides v, ascending.
@@ -275,9 +274,7 @@ def brute_census(n: int):
         for choice in itertools.product(range(6), repeat=len(pairing)):
             tri = Triangulation(n)
             for (s, d), k in zip(pairing, choice):
-                src = FaceSlot.from_index(s)
-                dst = FaceSlot.from_index(d)
-                tri.glue(src, dst, GLUING_PERMS[src.face][dst.face][k])
+                tri.glue(s, d, GLUING_PERMS[s % 4][d % 4][k])
             if not is_3manifold(tri):
                 continue
             key = serialize(tri)

@@ -16,7 +16,7 @@ from linkcensus.core import Triangulation
 from linkcensus.dsu import Outcome, SignedDsu
 from linkcensus.fpg import is_canonical, is_connected
 from linkcensus.linktrack import GlueOutcome, LinkState
-from linkcensus.perms import GLUING_PERMS, FaceSlot
+from linkcensus.perms import GLUING_PERMS
 from linkcensus.skiplist import CyclicSkipList
 from linkcensus.validate import build_links, check_edges, is_3manifold
 
@@ -323,16 +323,14 @@ def skiplist_fuzz_trial(trial: int, ops: int = 200) -> int:
 def linktrack_verdict(tri: Triangulation, s1: int, s2: int, perm: int):
     """Expected glue outcomes (level2 set, level1 set) for this gluing,
     derived by briefly applying it and rebuilding every link."""
-    t1, f1 = s1 // 4, s1 % 4
-    t2, f2 = s2 // 4, s2 % 4
-    tri.glue(FaceSlot(t1, f1), FaceSlot(t2, f2), perm)
+    tri.glue(s1, s2, perm)
     try:
         edge_ok = not check_edges(tri)
         reports = build_links(tri)
         orient_ok = all(r.orientable for r in reports)
         genus_ok = all(r.is_punctured_sphere for r in reports if r.orientable)
     finally:
-        tri.unglue(FaceSlot(t1, f1))
+        tri.unglue(s1)
     if not edge_ok:
         return {GlueOutcome.BAD_EDGE}, {GlueOutcome.BAD_EDGE}
     l1 = {GlueOutcome.BAD_ORIENT} if not orient_ok else {GlueOutcome.OK}
@@ -438,7 +436,7 @@ def linktrack_fuzz_trial(trial: int, ops: int = 60) -> int:
             if not history:
                 break
             s1, tok2, tok1, fp2, fp1 = history.pop()
-            tri.unglue(FaceSlot(s1 // 4, s1 % 4))
+            tri.unglue(s1)
             l2.unglue_faces(tok2)
             l1.unglue_faces(tok1)
             assert _linkstate_fingerprint(l2) == fp2, "unglue must be exact"
@@ -477,7 +475,7 @@ def linktrack_fuzz_trial(trial: int, ops: int = 60) -> int:
                 assert _linkstate_fingerprint(l1) == fp1
             continue
         assert got1 is GlueOutcome.OK
-        tri.glue(FaceSlot(t1, f1), FaceSlot(t2, f2), perm)
+        tri.glue(s1, s2, perm)
         history.append((s1, tok2, tok1, fp2, fp1))
 
         reports = build_links(tri)

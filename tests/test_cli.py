@@ -20,7 +20,7 @@ from linkcensus.core import (
     serialize,
 )
 from linkcensus.fpg import enumerate_pairings, format_pairing
-from linkcensus.perms import GLUING_PERMS, FaceSlot
+from linkcensus.perms import GLUING_PERMS
 from linkcensus.search import (
     COUNTERS,
     result_from_dict,
@@ -225,8 +225,8 @@ def test_cli_import_leaves_heavy_modules_unloaded():
 
 def _reversed_edge_table() -> str:
     tri = Triangulation(1)
-    tri.glue(FaceSlot(0, 0), FaceSlot(0, 1), GLUING_PERMS[0][1][2])
-    tri.glue(FaceSlot(0, 2), FaceSlot(0, 3), GLUING_PERMS[2][3][0])
+    tri.glue(0, 1, GLUING_PERMS[0][1][2])
+    tri.glue(2, 3, GLUING_PERMS[2][3][0])
     assert tri.is_complete() and check_edges(tri)
     return serialize(tri)
 
@@ -309,9 +309,13 @@ def test_lower_bound_validation():
 
 
 def test_contract_violations_exit_one(tmp_path, capsys):
-    rc, _, err = run_cli(capsys, "census", "--size", "0")
-    assert rc == 1
-    assert err.startswith("error: size must be at least 1")
+    for argv in (["census", "--size", "0"], ["bench", "--size", "0"],
+                 ["fpg", "--size", "0"], ["fpg", "--size", "-2"],
+                 ["fpg", "--size", "0", "--out", str(tmp_path / "none.txt")]):
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, out) == (1, ""), argv
+        assert err == "error: size must be at least 1\n", argv
+    assert not (tmp_path / "none.txt").exists()
     rc, _, err = run_cli(capsys, "census", "--size", "5", "--pruning", "0")
     assert rc == 1
     assert err == "error: pruning level 0 is limited to n <= 4\n"

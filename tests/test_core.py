@@ -21,7 +21,7 @@ from linkcensus.core import (
     serialize_human,
     vertex_classes,
 )
-from linkcensus.perms import GLUING_PERMS, PERM4_INV, FaceSlot
+from linkcensus.perms import GLUING_PERMS, PERM4_INV
 from oracles import random_pairing
 
 
@@ -33,7 +33,7 @@ def random_complete(rng: random.Random, n: int) -> Triangulation:
         for s, d in enumerate(fp):
             if s < d:
                 pi = GLUING_PERMS[s % 4][d % 4][rng.randrange(6)]
-                tri.glue(FaceSlot.from_index(s), FaceSlot.from_index(d), pi)
+                tri.glue(s, d, pi)
         if is_connected(tri):
             tri.audit()
             return tri
@@ -42,37 +42,38 @@ def random_complete(rng: random.Random, n: int) -> Triangulation:
 def test_glue_unglue_roundtrip():
     tri = Triangulation(2)
     assert not tri.is_complete()
-    tri.glue(FaceSlot(0, 0), FaceSlot(1, 2), GLUING_PERMS[0][2][3])
-    got = tri.gluing_of(FaceSlot(0, 0))
-    assert got is not None
-    dst, p = got
-    assert dst == FaceSlot(1, 2)
-    assert p.index == GLUING_PERMS[0][2][3]
-    back = tri.gluing_of(FaceSlot(1, 2))
-    assert back[0] == FaceSlot(0, 0)
-    assert back[1].index == PERM4_INV[GLUING_PERMS[0][2][3]]
+    tri.glue(0, 6, GLUING_PERMS[0][2][3])  # face 0 of tet 0 to face 2 of tet 1
+    assert (tri.adj[0], tri.perm[0]) == (6, GLUING_PERMS[0][2][3])
+    assert (tri.adj[6], tri.perm[6]) == (0, PERM4_INV[GLUING_PERMS[0][2][3]])
     tri.audit()
-    tri.unglue(FaceSlot(1, 2))  # either end works
-    assert tri.gluing_of(FaceSlot(0, 0)) is None
-    assert tri.adj == [-1] * 8
+    tri.unglue(6)  # either end works
+    assert tri.adj == tri.perm == [-1] * 8
 
 
 def test_glue_validation():
     tri = Triangulation(2)
     with pytest.raises(ValueError):
         Triangulation(0)
-    with pytest.raises(ValueError):
-        tri.glue(FaceSlot(0, 0), FaceSlot(0, 0), 0)
-    with pytest.raises(ValueError):
-        tri.glue(FaceSlot(0, 0), FaceSlot(2, 0), 0)
-    with pytest.raises(ValueError):
-        # identity does not carry face 0 to face 1
-        tri.glue(FaceSlot(0, 0), FaceSlot(0, 1), 0)
-    tri.glue(FaceSlot(0, 0), FaceSlot(1, 0), 0)
-    with pytest.raises(ValueError):
-        tri.glue(FaceSlot(0, 0), FaceSlot(1, 1), GLUING_PERMS[0][1][0])
-    with pytest.raises(ValueError):
-        tri.unglue(FaceSlot(0, 2))
+    for s, d, pi, message in [
+        (-1, 4, 0, "out of range"),
+        (0, -4, 0, "out of range"),
+        (0, 8, 0, "out of range"),  # slot 4n
+        (8, 0, 0, "out of range"),
+        (0, 7, -1, "permutation index -1"),  # would carry face 0 to face 3
+        (0, 7, 24, "permutation index 24"),
+        (0, 0, 0, "to itself"),
+        (0, 1, 0, "does not carry face 0 to face 1"),  # identity keeps faces
+    ]:
+        with pytest.raises(ValueError, match=message):
+            tri.glue(s, d, pi)
+    assert tri.adj == tri.perm == [-1] * 8
+    tri.glue(0, 4, 0)
+    with pytest.raises(ValueError, match="already glued"):
+        tri.glue(0, 5, GLUING_PERMS[0][1][0])
+    for s in (2, -4, 8):  # slot -4 must not reach slot 4 from the end
+        with pytest.raises(ValueError, match="not glued"):
+            tri.unglue(s)
+    tri.audit()
 
 
 def test_copy_and_equality():
@@ -80,7 +81,7 @@ def test_copy_and_equality():
     tri = random_complete(rng, 2)
     dup = tri.copy()
     assert dup == tri and hash(dup) == hash(tri)
-    dup.unglue(FaceSlot(0, 0))
+    dup.unglue(0)
     assert dup != tri
 
 
@@ -92,7 +93,7 @@ def test_serialize_parse_roundtrip():
             assert parse_table(serialize(tri)) == tri
     # partial tables round trip too
     tri = Triangulation(2)
-    tri.glue(FaceSlot(0, 1), FaceSlot(1, 3), GLUING_PERMS[1][3][2])
+    tri.glue(1, 7, GLUING_PERMS[1][3][2])
     assert parse_table(serialize(tri)) == tri
 
 
@@ -129,6 +130,8 @@ def test_human_format_errors():
         from_human_rows([["A:012", "-", "-"]])
     with pytest.raises(ParseError, match="bad cell"):
         from_human_rows([["A:01", "-", "-", "-"]])
+    with pytest.raises(ParseError, match="bad cell"):
+        from_human_rows([["A:011", "-", "-", "-"]])  # not a face's vertices
     with pytest.raises(ParseError, match="inconsistent"):
         from_human_rows([
             ["B:012", "-", "-", "-"],
@@ -138,7 +141,7 @@ def test_human_format_errors():
 
 def test_class_counts_single_gluing():
     tri = Triangulation(2)
-    tri.glue(FaceSlot(0, 0), FaceSlot(1, 0), 0)
+    tri.glue(0, 4, 0)
     # identity gluing of face 012 merges three corner pairs and three edges
     assert len(vertex_classes(tri)) == 5
     classes = edge_classes(tri)
@@ -155,8 +158,8 @@ def test_connectivity_and_orientability_guards():
     # complete but disconnected: two tets glued only to themselves
     tri2 = Triangulation(2)
     for t in range(2):
-        tri2.glue(FaceSlot(t, 0), FaceSlot(t, 1), GLUING_PERMS[0][1][0])
-        tri2.glue(FaceSlot(t, 2), FaceSlot(t, 3), GLUING_PERMS[2][3][0])
+        tri2.glue(4 * t, 4 * t + 1, GLUING_PERMS[0][1][0])
+        tri2.glue(4 * t + 2, 4 * t + 3, GLUING_PERMS[2][3][0])
     assert tri2.is_complete() and not is_connected(tri2)
     with pytest.raises(ValueError, match="connected"):
         is_orientable(tri2)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from linkcensus.core import UnionFind
 from linkcensus.fpg import (
     enumerate_pairings,
     format_pairing,
@@ -72,6 +73,36 @@ def test_format_roundtrip():
     for fp in enumerate_pairings(3):
         n, back = parse_pairing(format_pairing(fp))
         assert n == 3 and back == fp
+
+
+@pytest.mark.parametrize("line,message", [
+    ("x ; 0.1 0.0 0.3 0.2", "tetrahedron count"),
+    ("1 ; 0.1 0.0 0.3", "expected 4 partner tokens"),
+    ("1 ; 0.1 0.0 0.3 0.4", "bad partner token '0.4'"),  # not slot 1.0
+    ("2 ; 0.1 0.0 0.3 0.2 2.1 1.0 1.3 1.2", "bad partner token '2.1'"),
+    ("1 ; 0.1 0.0 0.3 0.\u0662", "bad partner token"),  # Arabic-Indic 2
+    ("1 ; 0.1 0.0 0.3 0:2", "bad partner token"),
+    ("1 ; 0.1 0.0 0.2 0.3", "slot 2 is not consistently paired"),
+    ("1 ; 0.1 0.2 0.3 0.0", "slot 0 is not consistently paired"),
+])
+def test_parse_pairing_errors(line, message):
+    with pytest.raises(ValueError, match=message):
+        parse_pairing(line)
+
+
+def test_is_connected_matches_union_find_on_partial_matchings():
+    rng = random.Random(10)
+    for _ in range(2000):
+        n = rng.randint(1, 6)
+        fp = list(random_pairing(n, rng))
+        for s, p in pairs_of(tuple(fp)):
+            if rng.random() < 0.3:
+                fp[s] = fp[p] = -1
+        uf = UnionFind(n)
+        for s, p in pairs_of(tuple(fp)):
+            uf.union(s // 4, p // 4)
+        want = len({uf.find(t) for t in range(n)}) == 1
+        assert is_connected(fp) == want, fp
 
 
 def test_pairs_and_graph_helpers():

@@ -304,6 +304,10 @@ def test_job_line_rejects_tampering():
         parse_job(forged)
     with pytest.raises(ValueError, match="lacks level="):
         parse_job(line.replace(" level=2", ""))
+    # face digits stop at 3: slot 0.4 must not read as slot 1.0
+    assert " 1.0 " in pairing
+    with pytest.raises(ValueError, match="bad partner token '0.4'"):
+        parse_job(line.replace(" 1.0 ", " 0.4 ", 1))
     # the previous format carried a seed= key
     with pytest.raises(ValueError, match="unknown key 'seed'"):
         parse_job(line.replace(" index=", " seed=0 index="))

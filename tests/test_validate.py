@@ -17,7 +17,7 @@ from linkcensus.core import (
 )
 from linkcensus.fpg import pairs_of
 from linkcensus.linktrack import GlueOutcome, LinkState
-from linkcensus.perms import GLUING_PERMS, FaceSlot
+from linkcensus.perms import GLUING_PERMS
 from linkcensus.validate import (
     brute_census,
     build_links,
@@ -42,7 +42,7 @@ def test_fresh_tet_links_are_discs():
 
 def test_partial_gluing_link_counts():
     tri = Triangulation(2)
-    tri.glue(FaceSlot(0, 0), FaceSlot(1, 0), 0)
+    tri.glue(0, 4, 0)
     reports = build_links(tri)
     # three corner pairs merged into discs of two triangles each
     assert len(reports) == 5
@@ -72,7 +72,7 @@ def test_torus_link_table():
 def test_check_edges_finds_reversal():
     """Two faces of one tet glued so an edge maps onto itself reversed."""
     tri = Triangulation(1)
-    tri.glue(FaceSlot(0, 0), FaceSlot(0, 1), GLUING_PERMS[0][1][2])
+    tri.glue(0, 1, GLUING_PERMS[0][1][2])
     bad = check_edges(tri)
     assert len(bad) == 1
     assert bad[0] == [(0, 0)]  # edge 01 alone in its class
@@ -117,7 +117,7 @@ def test_edge_classes_match_the_incremental_tracker():
             out, _ = ls.glue_faces(s // 4, s % 4, p // 4, p % 4, pi)
             if out is not GlueOutcome.OK:
                 continue
-            tri.glue(FaceSlot.from_index(s), FaceSlot.from_index(p), pi)
+            tri.glue(s, p, pi)
             tracked: dict[int, list[tuple[int, int]]] = {}
             for i in range(6 * n):
                 tracked.setdefault(ls.edge_cls.find(i)[0], []).append((i // 6, i % 6))
