@@ -8,7 +8,7 @@ processes.  Each merge is given the jobs it covers (`merge` reads them
 from the jobs file), so it counts every job exactly once.  Flag
 conventions are shared across subcommands; `LINKCENSUS_BACKEND` picks
 the engine.  Exit codes: 0 success, 1 internal contract violation (with
-a diagnostic on stderr), 2 usage error.
+a diagnostic on stderr), 2 usage error, 130 interrupted by Ctrl-C.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import signal
 import sys
 import time
 from fractions import Fraction
@@ -86,8 +87,21 @@ def _cmd_census(args) -> int:
     if args.threads > 1:
         # imported here: loading multiprocessing slows every other command
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(run_job, jobs))
+
+        # workers leave Ctrl-C to the parent, which cancels the queued
+        # jobs; they start with it blocked, so none dies of one in between
+        pool = ProcessPoolExecutor(max_workers=args.threads,
+                                   initializer=signal.signal,
+                                   initargs=(signal.SIGINT, signal.SIG_IGN))
+        try:
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                pending = pool.map(run_job, jobs)
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            results = list(pending)
+        finally:
+            pool.shutdown(cancel_futures=True)
     else:
         results = [run_job(job) for job in jobs]
     _emit_result(merge([partial, *results], jobs), args)
@@ -328,6 +342,9 @@ def main(argv: list[str] | None = None) -> int:
     except (AssertionError, OSError, RuntimeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -17,6 +17,10 @@ as soon as some relabelling makes that prefix smaller, or once every slot
 of the tetrahedra reached so far is paired before all n have appeared (no
 completion is connected).  Completed matchings still pass `is_connected`
 and `is_canonical`.
+
+The same relabelling scan, run to the end on a canonical pairing, finds
+its automorphisms (`automorphisms`): the relabellings that map it to
+itself.  The census uses them to search one gluing per symmetry orbit.
 """
 
 from __future__ import annotations
@@ -68,7 +72,8 @@ def is_connected(fp: Sequence[int]) -> bool:
     return len(seen) == len(fp) // 4
 
 
-def _relabelling_beats(fp: Sequence[int], limit: int) -> bool:
+def _relabelling_beats(fp: Sequence[int], limit: int,
+                       autos: list[tuple[int, ...]] | None = None) -> bool:
     """True when some relabelling makes the prefix fp[:limit] smaller.
 
     Tetrahedron indices and slot labels are assigned lazily while scanning
@@ -81,6 +86,10 @@ def _relabelling_beats(fp: Sequence[int], limit: int) -> bool:
     unpaired slots, as long as its first `limit` entries are set: a branch
     that reads an unpaired slot is undecided and dropped, so a True
     verdict holds for every completion of fp.
+
+    With `autos` given, each equality branch that reaches `limit` is
+    appended to it as an old-slot -> new-slot map: at limit 4n, when fp
+    is canonical, every relabelling that fixes fp, the identity included.
     """
     n = len(fp) // 4
     tetmap = [-1] * n         # old tet -> new index
@@ -91,6 +100,9 @@ def _relabelling_beats(fp: Sequence[int], limit: int) -> bool:
     def scan(q: int) -> bool:
         """True if some completion of the current relabelling beats fp."""
         if q == limit:
+            if autos is not None:
+                autos.append(tuple(4 * tetmap[s // 4] + labels[s]
+                                   for s in range(4 * n)))
             return False
         u, g = divmod(q, 4)
         if u == len(inv):
@@ -160,6 +172,19 @@ def is_canonical(fp: Pairing) -> bool:
     without effect.
     """
     return not _relabelling_beats(fp, len(fp))
+
+
+def automorphisms(fp: Pairing) -> list[tuple[int, ...]]:
+    """The relabellings that fix the canonical pairing fp, other than the
+    identity, as maps `a` from old slot to new slot: fp[a[s]] == a[fp[s]]
+    for every s.  They are the equality branches of `is_canonical`'s
+    scan, which only follows relabellings into canonical form, so a
+    pairing that is not canonical raises ValueError."""
+    autos: list[tuple[int, ...]] = []
+    if _relabelling_beats(fp, len(fp), autos):
+        raise ValueError("pairing is not canonical")
+    identity = tuple(range(len(fp)))
+    return [a for a in autos if a != identity]
 
 
 def enumerate_pairings(n: int) -> Iterator[Pairing]:

@@ -8,6 +8,17 @@ tree into replayable jobs, and merging partial results exactly.
 `merge(results, jobs)` is the one place that checks the split was run
 exactly once: every job of the list covered by one result, nothing else.
 
+Above both kernels sits one piece of search: isomorph rejection by the
+pairing's automorphisms (Burton, "Enumeration of non-orientable
+3-manifolds using face-pairing graphs and union-find", 2007).  Two
+gluings of one canonical pairing are isomorphic exactly when an
+automorphism of the pairing maps one to the other, so a gluing prefix is
+kept only while no automorphism maps it to a lexicographically smaller
+prefix.  The prefixes are grown one pair at a time by the kernel and
+filtered down to AUTO_DEPTH glued pairs; the kernel searches everything
+below, and the copies it still finds there merge by signature.  The
+`prune_auto` counter counts the children the filter drops.
+
 `COUNTERS` names the per-pairing search counters once: the row fields,
 merge's sums, the stats CSV columns and the JSON row columns all follow
 it, so a new counter is one entry there, one `PairingRow` field and
@@ -16,12 +27,19 @@ the code that counts it.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import asdict, dataclass, field, fields
 
 from .core import ParseError, decode_signature
-from .fpg import enumerate_pairings, format_pairing, pairs_of, parse_pairing
-from .perms import GLUING_PERMS
+from .fpg import (
+    automorphisms,
+    enumerate_pairings,
+    format_pairing,
+    pairs_of,
+    parse_pairing,
+)
+from .perms import GLUING_PERMS, PERM4_INDEX, PERM4_INV, PERM4_MUL
 
 MODES = ("all", "orientable", "nonorientable")
 
@@ -80,7 +98,13 @@ JOB_KEYS = ("n", "mode", "level", "index")
 
 
 #: per-pairing search counters, in PairingRow, CSV and JSON column order
-COUNTERS = ("nodes", "prune_orient", "prune_edge", "prune_genus", "leaves")
+COUNTERS = ("nodes", "prune_orient", "prune_edge", "prune_genus",
+            "prune_auto", "leaves")
+
+#: glued pairs down to which prefixes are filtered by the pairing's
+#: automorphisms; below it the kernel searches every gluing.  A constant,
+#: so that the counters depend on neither the split depth nor the backend
+AUTO_DEPTH = 4
 
 
 @dataclass(frozen=True)
@@ -93,6 +117,7 @@ class PairingRow:
     prune_orient: int
     prune_edge: int
     prune_genus: int
+    prune_auto: int
     leaves: int
     orient_sigs: tuple[str, ...]
     nonor_sigs: tuple[str, ...]
@@ -166,10 +191,107 @@ class JobDescriptor:
         return self.pairing_index, tuple(self.prefix)
 
 
-def _row_from_raw(index: int, raw: dict) -> PairingRow:
-    return PairingRow(index, **{c: raw[c] for c in COUNTERS},
-                      orient_sigs=tuple(raw["orient_sigs"]),
-                      nonor_sigs=tuple(raw["nonor_sigs"]))
+@functools.lru_cache(maxsize=1024)
+def _branch_maps(pairing: tuple[int, ...], depth: int) -> tuple[bytes, ...]:
+    """The pairing's automorphisms acting on gluing prefixes, cut to their
+    first `depth` positions, each as 25 bytes per position.
+
+    Map m sends gluing g to g' with g'[k] = m[25k + 1 + g[m[25k]]]: the
+    byte at 25k names the pair whose image lands at position k, the next
+    24 the image of each Perm4 index.  An automorphism a sends pair
+    (s1, s2) to the pair with lower slot min(a(s1), a(s2)) and gluing pi
+    to rho_T2 . pi . rho_T1^-1, inverted when a swaps the two slots, where
+    rho_t(v) = 3 - a(4t + 3 - v) % 4 relabels the vertices of tetrahedron
+    t (face f is opposite vertex 3 - f).  Maps that agree on the first
+    `depth` positions are kept once, and one that fixes them is dropped.
+    """
+    pairs = pairs_of(pairing)
+    depth = min(depth, len(pairs))
+    position = {s1: k for k, (s1, _) in enumerate(pairs)}
+    maps = set()
+    for a in automorphisms(pairing):
+        rho = [PERM4_INDEX[tuple(3 - a[4 * t + 3 - v] % 4 for v in range(4))]
+               for t in range(len(pairing) // 4)]
+        m = bytearray(25 * depth)
+        for k, (s1, s2) in enumerate(pairs):
+            at = 25 * position[min(a[s1], a[s2])]
+            if at < len(m):
+                m[at] = k
+                m[at + 1:at + 25] = _image_table(rho[s1 // 4], rho[s2 // 4],
+                                                 a[s1] > a[s2])
+        maps.add(bytes(m))
+    maps.discard(b"".join(bytes([k, *range(24)]) for k in range(depth)))
+    return tuple(sorted(maps))
+
+
+@functools.lru_cache(maxsize=None)
+def _image_table(rho1: int, rho2: int, swapped: bool) -> bytes:
+    """Image of each Perm4 index pi under relabellings rho1 and rho2 of
+    its two tetrahedra: rho2 . pi . rho1^-1, inverted when swapped."""
+    back, ahead = PERM4_INV[rho1], PERM4_MUL[rho2]
+    images = (ahead[PERM4_MUL[pi][back]] for pi in range(24))
+    return bytes(PERM4_INV[x] for x in images) if swapped else bytes(images)
+
+
+def _is_least(prefix: tuple[int, ...], maps: tuple[bytes, ...]) -> bool:
+    """False when some map sends the prefix to a lexicographically smaller
+    one.  Only the positions the maps cover take part; they are compared
+    in order until one differs or its source pair lies beyond them, so a
+    False verdict holds for every extension of the prefix."""
+    if not maps:
+        return True
+    d = min(len(prefix), len(maps[0]) // 25)
+    for m in maps:
+        for at in range(0, 25 * d, 25):
+            src = m[at]
+            if src >= d:
+                break
+            image = m[at + 1 + prefix[src]]
+            own = prefix[at // 25]
+            if image != own:
+                if image < own:
+                    return False
+                break
+    return True
+
+
+def _search(eng, config: SearchConfig, index: int, pairing: tuple[int, ...],
+            prefix: tuple[int, ...], cap: int | None) -> tuple[PairingRow, list]:
+    """Search the tree of pairing `index` below `prefix`, down to `cap`
+    glued pairs or to the leaves.
+
+    Down to AUTO_DEPTH, or one pair short of the leaves (where the kernel
+    would count a leaf before writing a frontier), the children of each
+    prefix come from a `depth_cap = d + 1` kernel call and only the least
+    under the pairing's automorphisms go on; `prune_auto` counts the rest.
+    The kernel searches every gluing below.  Returns the row of counters
+    and signatures, and the prefixes at `cap`.
+    """
+    total = len(pairing) // 2
+    count = dict.fromkeys(COUNTERS, 0)
+    orient: set[str] = set()
+    nonor: set[str] = set()
+
+    def descend(p: tuple[int, ...], depth_cap: int | None) -> list:
+        raw = eng.search_pairing(config.n, config.mode, config.level, 0,
+                                 pairing, prefix=p, depth_cap=depth_cap)
+        for c in COUNTERS:
+            count[c] += raw.get(c, 0)  # the kernels leave prune_auto to us
+        orient.update(raw["orient_sigs"])
+        nonor.update(raw["nonor_sigs"])
+        return raw["frontier"] or []
+
+    level = [prefix]
+    stop = min(AUTO_DEPTH, total - 1, total if cap is None else cap)
+    for d in range(len(prefix), stop):
+        maps = _branch_maps(pairing, AUTO_DEPTH)
+        children = [child for p in level for child in descend(p, d + 1)]
+        level = [child for child in children if _is_least(child, maps)]
+        count["prune_auto"] += len(children) - len(level)
+    if cap is None or cap > max(stop, len(prefix)):
+        level = [child for p in level for child in descend(p, cap)]
+    return PairingRow(index, **count, orient_sigs=tuple(sorted(orient)),
+                      nonor_sigs=tuple(sorted(nonor))), level
 
 
 def enumerate_census(config: SearchConfig, backend: str | None = None) -> CensusResult:
@@ -185,7 +307,8 @@ def split_jobs(config: SearchConfig, depth: int,
 
     Returns the surviving frontier as job descriptors plus a partial
     result holding everything decided above the frontier (attempt counts,
-    and leaves in case depth exceeds the tree height).  Merging the
+    the automorphism filter's drops, and leaves in case depth exceeds the
+    tree height).  Merging the
     partial with all job results reproduces the census exactly, at
     any depth; the jobs alone already carry every emitted triangulation.
     """
@@ -195,26 +318,33 @@ def split_jobs(config: SearchConfig, depth: int,
     jobs: list[JobDescriptor] = []
     rows = []
     for index, pairing in enumerate(enumerate_pairings(config.n)):
-        raw = eng.search_pairing(config.n, config.mode, config.level,
-                                 0, pairing, depth_cap=depth)
-        rows.append(_row_from_raw(index, raw))
+        row, frontier = _search(eng, config, index, pairing, (), depth)
+        rows.append(row)
         jobs.extend(JobDescriptor(config, index, pairing, prefix)
-                    for prefix in raw["frontier"])
+                    for prefix in frontier)
     return jobs, CensusResult(config, tuple(rows))
 
 
 def run_job(job: JobDescriptor, backend: str | None = None) -> CensusResult:
     """Replay the job's prefix and search its subtree.
 
-    Counts cover only the subtree below the prefix; a prefix that fails
-    its own pruning checks did not come from split_jobs and raises
-    ValueError.
+    Counts cover only the subtree below the prefix.  A job that
+    split_jobs cannot have written raises ValueError: a pairing that is
+    not canonical, a prefix that fails its own pruning checks, and one
+    that an automorphism of the pairing maps to a smaller prefix.
     """
     eng = load_backend(backend)
-    raw = eng.search_pairing(job.config.n, job.config.mode, job.config.level,
-                             0, job.pairing, prefix=job.prefix)
-    return CensusResult(job.config, (_row_from_raw(job.pairing_index, raw),),
-                        (job.id,))
+    pairs = pairs_of(job.pairing)
+    # a prefix the kernel cannot replay is left to the kernel's diagnostics
+    replayable = len(job.prefix) <= len(pairs) and all(
+        pi in GLUING_PERMS[s % 4][p % 4] for (s, p), pi in zip(pairs, job.prefix))
+    if replayable and not _is_least(job.prefix,
+                                     _branch_maps(job.pairing, AUTO_DEPTH)):
+        raise ValueError("corrupt job: an automorphism of the pairing maps "
+                         "the prefix to a smaller one")
+    row, _ = _search(eng, job.config, job.pairing_index, job.pairing,
+                     job.prefix, None)
+    return CensusResult(job.config, (row,), (job.id,))
 
 
 def _name_jobs(ids: list[JobId], limit: int = 5) -> str:

@@ -376,6 +376,21 @@ def brute_minimum(fp):
     return best
 
 
+def brute_automorphisms(fp):
+    """Every relabelling other than the identity that fixes the pairing,
+    as a map from old slot to new slot, from the whole relabelling orbit."""
+    n = len(fp) // 4
+    found = set()
+    for rho in itertools.permutations(range(n)):
+        for pis in itertools.product(list(itertools.permutations(range(4))),
+                                     repeat=n):
+            if apply_relabel(fp, rho, pis) == fp:
+                found.add(tuple(4 * rho[s // 4] + pis[s // 4][s % 4]
+                                for s in range(4 * n)))
+    found.discard(tuple(range(4 * n)))
+    return found
+
+
 def filtered_pairings(n):
     """Canonical connected pairings by generate-then-filter, ascending.
 

@@ -3,8 +3,10 @@
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -23,8 +25,13 @@ from linkcensus.fpg import enumerate_pairings, format_pairing
 from linkcensus.perms import GLUING_PERMS
 from linkcensus.search import (
     COUNTERS,
+    JobDescriptor,
+    SearchConfig,
+    format_job,
+    load_backend,
     result_from_dict,
     result_to_dict,
+    split_jobs,
     stats_csv,
     summary_line,
 )
@@ -119,13 +126,13 @@ def test_jobs_run_job_merge_pipeline(tmp_path, capsys):
 
 
 def _n3_split(tmp_path, capsys):
-    """n=3 split at depth 1 (15 jobs), a part with 3 of them, and all."""
+    """n=3 split at depth 2 (17 jobs), a part with 3 of them, and all."""
     jobs_path = tmp_path / "jobs.txt"
-    rc, _, _ = run_cli(capsys, "jobs", "--size", "3", "--depth", "1",
+    rc, _, _ = run_cli(capsys, "jobs", "--size", "3", "--depth", "2",
                        "--out", str(jobs_path))
     assert rc == 0
     head, *lines = jobs_path.read_text().splitlines()
-    assert len(lines) == 15
+    assert len(lines) == 17
     three = tmp_path / "three.txt"
     three.write_text("\n".join(lines[:3]) + "\n")
     paths = []
@@ -159,8 +166,8 @@ def test_merge_refuses_a_partial_census(tmp_path, capsys):
     jobs, part, _ = _n3_split(tmp_path, capsys)
     rc, out, err = run_cli(capsys, "merge", part, "--jobs", jobs)
     assert rc == 1 and out == ""
-    assert err.startswith("error: 12 of 15 jobs have no result: pairing ")
-    assert "and 7 more" in err
+    assert err.startswith("error: 14 of 17 jobs have no result: pairing ")
+    assert "and 9 more" in err
 
 
 def test_merge_refuses_a_part_given_twice(tmp_path, capsys):
@@ -204,7 +211,7 @@ def test_merge_rejects_a_malformed_result(tmp_path, capsys):
     jobs, _, full = _n3_split(tmp_path, capsys)
     rc, out, _ = run_cli(capsys, "merge", full, "--jobs", jobs, "--sigs")
     assert rc == 0 and out.splitlines()[:-1] == census(3).signatures()
-    for col, value in ((1, "5"), (6, "abc"), (2, -7)):
+    for col, value in ((1, "5"), (1 + len(COUNTERS), "abc"), (2, -7)):
         bad = _tampered(full, col, value)
         rc, out, err = run_cli(capsys, "merge", bad, "--jobs", jobs)
         assert (rc, out) == (1, ""), (col, value)
@@ -215,11 +222,8 @@ def test_cli_import_leaves_heavy_modules_unloaded():
     code = ("import sys, linkcensus.cli; print(' '.join(m for m in ("
             "'concurrent.futures.process', 'multiprocessing', "
             "'linkcensus._engine_py', 'linkcensus.validate') if m in sys.modules))")
-    src = str(Path(linkcensus.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True, env=env)
+                          text=True, check=True, env=_src_env())
     assert proc.stdout.strip() == ""
 
 
@@ -282,7 +286,8 @@ def test_bench_smoke(capsys):
     assert rc == 0
     lines = out.splitlines()
     assert lines[0].startswith("backend=")
-    assert lines[1] == "level,nodes,prune_orient,prune_edge,prune_genus,leaves,kept,seconds"
+    assert lines[1] == ("level,nodes,prune_orient,prune_edge,prune_genus,"
+                        "prune_auto,leaves,kept,seconds")
     assert lines[1] == ",".join(("level", *COUNTERS, "kept", "seconds"))
     level_rows = [ln for ln in lines if ln[:2] in ("0,", "1,", "2,")]
     assert len(level_rows) == 3
@@ -339,6 +344,61 @@ def test_contract_violations_exit_one(tmp_path, capsys):
     rc, out, err = run_cli(capsys, "run-job", "--in", str(jobs))
     assert (rc, out) == (1, "")
     assert err == "error: job index -1 is negative\n"
+
+
+def test_run_job_refuses_a_symmetric_copy(tmp_path, capsys):
+    """A job whose prefix an automorphism of its pairing maps to a smaller
+    one cannot come from `jobs`."""
+    config = SearchConfig(n=2)
+    survivors = {job.id for job in split_jobs(config, 1)[0]}
+    eng = load_backend()
+    index, fp, prefix = next(
+        (index, fp, prefix) for index, fp in enumerate(enumerate_pairings(2))
+        for prefix in eng.search_pairing(2, "all", 2, 0, fp,
+                                         depth_cap=1)["frontier"]
+        if (index, prefix) not in survivors)
+    jobs = tmp_path / "jobs.txt"
+    jobs.write_text(format_job(JobDescriptor(config, index, fp, prefix)) + "\n")
+    rc, out, err = run_cli(capsys, "run-job", "--in", str(jobs))
+    assert (rc, out) == (1, "")
+    assert err == ("error: corrupt job: an automorphism of the pairing maps "
+                   "the prefix to a smaller one\n")
+
+
+def _src_env() -> dict:
+    src = str(Path(linkcensus.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs /proc to see the worker pool start")
+def test_ctrl_c_stops_a_threaded_census():
+    """Ctrl-C, sent to the whole process group once the worker pool is up,
+    ends the census with exit 130 and one diagnostic line, and leaves no
+    worker behind."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "linkcensus.cli", "census", "--size", "6",
+         "--depth", "3", "--threads", "2"], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, env=_src_env(),
+        start_new_session=True)
+    try:
+        # the pool's manager thread is the parent's second thread
+        deadline = time.monotonic() + 60
+        while (len(os.listdir(f"/proc/{proc.pid}/task")) < 2
+               and proc.poll() is None and time.monotonic() < deadline):
+            time.sleep(0.05)
+        time.sleep(0.5)
+        os.killpg(proc.pid, signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == 130
+    assert (out, err) == ("", "error: interrupted\n")
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
 
 
 def test_usage_errors_exit_two(capsys):

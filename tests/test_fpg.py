@@ -7,6 +7,7 @@ import pytest
 
 from linkcensus.core import UnionFind
 from linkcensus.fpg import (
+    automorphisms,
     enumerate_pairings,
     format_pairing,
     graph_of,
@@ -16,7 +17,12 @@ from linkcensus.fpg import (
     pairs_of,
     parse_pairing,
 )
-from oracles import brute_minimum, filtered_pairings, random_pairing
+from oracles import (
+    brute_automorphisms,
+    brute_minimum,
+    filtered_pairings,
+    random_pairing,
+)
 
 # connected pairing classes by size, pinned by the brute orbit scan below
 PAIRING_COUNTS = {1: 1, 2: 2, 3: 4, 4: 10, 5: 28, 6: 97, 7: 359}
@@ -40,6 +46,26 @@ def test_enumeration_is_sorted_canonical_connected(n):
     for fp in seen:
         assert is_canonical(fp)
         assert is_connected(fp)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_automorphisms_fix_their_pairing(n):
+    for fp in enumerate_pairings(n):
+        autos = automorphisms(fp)
+        assert len(set(autos)) == len(autos)
+        for a in autos:
+            assert sorted(a) == list(range(4 * n)) and a != tuple(range(4 * n))
+            assert all(a[s] // 4 == a[s - s % 4] // 4 for s in range(4 * n))
+            assert all(fp[a[s]] == a[fp[s]] for s in range(4 * n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_automorphisms_match_brute_force(n):
+    for fp in enumerate_pairings(n):
+        assert set(automorphisms(fp)) == brute_automorphisms(fp), fp
+    # the scan follows relabellings into canonical form only
+    with pytest.raises(ValueError, match="not canonical"):
+        automorphisms((5, 6, 7, 4, 3, 0, 1, 2))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

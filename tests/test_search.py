@@ -13,6 +13,7 @@ from linkcensus.core import decode_signature, is_orientable
 from linkcensus.fpg import enumerate_pairings, pairs_of
 from linkcensus.perms import GLUING_PERMS
 from linkcensus.search import (
+    AUTO_DEPTH,
     COUNTERS,
     JobDescriptor,
     PairingRow,
@@ -29,6 +30,7 @@ from linkcensus.search import (
     stats_csv,
     summary_line,
 )
+from linkcensus.search import _branch_maps, _is_least
 from linkcensus.validate import is_3manifold
 
 # manifold triangulation counts by size: (total, orientable, nonorientable)
@@ -159,6 +161,57 @@ def test_split_run_merge_reproduces_census(depth):
         assert merge([partial], jobs) == census(2)
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("depth", [0, AUTO_DEPTH - 1, AUTO_DEPTH,
+                                   AUTO_DEPTH + 1, 99])
+def test_split_counters_across_auto_depth(backend, depth):
+    """n=3 has six pairs, so its splits fall above, at and below the depth
+    where the automorphism filter stops; every counter matches."""
+    jobs, partial = split_jobs(SearchConfig(n=3), depth, backend)
+    merged = merge([partial, *(run_job(job, backend) for job in jobs)], jobs)
+    assert merged == census(3)
+    assert merged.counts()["prune_auto"] > 0
+
+
+def _least_gluings(n: int, backend: str) -> tuple[int, list[str]]:
+    """Leaves and signatures of a level-2 census whose every prefix, down
+    to the complete gluings, is filtered by the pairing's automorphisms,
+    driven through the kernel's prefix and depth_cap contract."""
+    eng = load_backend(backend)
+    leaves, sigs = 0, []
+    for fp in enumerate_pairings(n):
+        pairs = pairs_of(fp)
+        maps = _branch_maps(fp, len(pairs))
+        level = [()]
+        for d in range(len(pairs) - 1):
+            level = [child for p in level for child in eng.search_pairing(
+                n, "all", 2, 0, fp, prefix=p, depth_cap=d + 1)["frontier"]
+                if _is_least(child, maps)]
+        # the last pair by replay: the kernel counts a leaf before it
+        # would write a frontier there
+        s1, s2 = pairs[-1]
+        for p in level:
+            for pi in GLUING_PERMS[s1 % 4][s2 % 4]:
+                if not _is_least((*p, pi), maps):
+                    continue
+                try:
+                    raw = eng.search_pairing(n, "all", 2, 0, fp, prefix=(*p, pi))
+                except ValueError:  # the kernel prunes it
+                    continue
+                leaves += raw["leaves"]
+                sigs += raw["orient_sigs"] + raw["nonor_sigs"]
+    return leaves, sigs
+
+
+@pytest.mark.parametrize("backend,n", [("py", n) for n in (1, 2, 3)] + [
+    pytest.param("fast", n, marks=needs_fast) for n in (1, 2, 3, 4)])
+def test_full_depth_filter_keeps_one_gluing_per_class(backend, n):
+    """Filtered at every depth, each isomorphism class is reached once."""
+    leaves, sigs = _least_gluings(n, backend)
+    assert leaves == len(sigs) == CENSUS_COUNTS[n][0]
+    assert sorted(sigs) == census(n).signatures()
+
+
 @needs_fast
 def test_jobs_transfer_between_backends():
     """Jobs split by one engine replay exactly on the other."""
@@ -183,17 +236,28 @@ def test_corrupt_jobs_rejected(backend):
     bad_perm = JobDescriptor(config, job.pairing_index, job.pairing, (23,))
     with pytest.raises(ValueError, match="permutation 23 invalid"):
         run_job(bad_perm, backend=backend)
-    # a branch the search pruned cannot come from split_jobs
-    survivors = {j.prefix for j in jobs if j.pairing_index == job.pairing_index}
-    s1 = next(s for s, p in enumerate(job.pairing) if s < p)
-    s2 = job.pairing[s1]
+    # a branch the kernel pruned cannot come from split_jobs
+    eng = load_backend(backend)
+    kept = eng.search_pairing(2, "all", 2, 0, job.pairing, depth_cap=1)["frontier"]
+    s1, s2 = pairs_of(job.pairing)[0]
     pruned = [
-        (pi,) for pi in GLUING_PERMS[s1 % 4][s2 % 4] if (pi,) not in survivors
+        (pi,) for pi in GLUING_PERMS[s1 % 4][s2 % 4] if (pi,) not in kept
     ]
     assert pruned, "expected at least one pruned first gluing"
     with pytest.raises(ValueError, match="fails its own checks at pair 0"):
         run_job(JobDescriptor(config, job.pairing_index, job.pairing,
                               pruned[0]), backend=backend)
+    # nor can one the kernel keeps but the automorphism filter drops
+    survivors = {j.id for j in jobs}
+    dropped = [(index, fp, prefix)
+               for index, fp in enumerate(enumerate_pairings(2))
+               for prefix in eng.search_pairing(2, "all", 2, 0, fp,
+                                                depth_cap=1)["frontier"]
+               if (index, prefix) not in survivors]
+    assert dropped, "expected a first gluing the filter drops"
+    for index, fp, prefix in dropped:
+        with pytest.raises(ValueError, match="maps the prefix to a smaller one"):
+            run_job(JobDescriptor(config, index, fp, prefix), backend=backend)
 
 
 def test_summary_and_stats_formats():
@@ -202,12 +266,13 @@ def test_summary_and_stats_formats():
         f"n=1 mode=all total=4 orientable=4 nonorientable=0 nodes={res.nodes}"
     )
     lines = stats_csv(res).splitlines()
-    assert lines[0] == "pairing_index,nodes,prune_orient,prune_edge,prune_genus,leaves,kept"
+    assert lines[0] == ("pairing_index,nodes,prune_orient,prune_edge,"
+                        "prune_genus,prune_auto,leaves,kept")
     assert len(lines) == 1 + len(res.rows)
     first = res.rows[0]
     assert lines[1] == (f"{first.index},{first.nodes},{first.prune_orient},"
                         f"{first.prune_edge},{first.prune_genus},"
-                        f"{first.leaves},{first.kept}")
+                        f"{first.prune_auto},{first.leaves},{first.kept}")
 
 
 def test_counters_are_the_one_list():
@@ -233,16 +298,19 @@ def _set_row(data, col, value):
     return {**data, "rows": [row, *data["rows"][1:]]}
 
 
+#: row columns of the orientable and the non-orientable signatures
+ORIENT_COL, NONOR_COL = len(COUNTERS) + 1, len(COUNTERS) + 2
+
 #: results that are well shaped but not what result_to_dict writes
 MALFORMED_RESULTS = (
     lambda d: _set_row(d, 1, str(d["rows"][0][1])),  # a string count
     lambda d: _set_row(d, 2, -7),                    # a negative count
     lambda d: _set_row(d, 5, True),                  # a bool count
     lambda d: _set_row(d, 0, 1.0),                   # a float index
-    lambda d: _set_row(d, 6, "abc"),                 # a string, not a list
-    lambda d: _set_row(d, 7, [3]),                   # a non-string signature
-    lambda d: _set_row(d, 6, ["1;01010606"]),        # a size-1 signature
-    lambda d: _set_row(d, 7, ["2;0101101011110001"]),  # not glued back
+    lambda d: _set_row(d, ORIENT_COL, "abc"),        # a string, not a list
+    lambda d: _set_row(d, NONOR_COL, [3]),           # a non-string signature
+    lambda d: _set_row(d, ORIENT_COL, ["1;01010606"]),  # a size-1 signature
+    lambda d: _set_row(d, NONOR_COL, ["2;0101101011110001"]),  # not glued back
     lambda d: {**d, "rows": {}},
     lambda d: {**d, "jobs": [["0", []]]},
     lambda d: {**d, "jobs": [[0, [-1]]]},
@@ -262,8 +330,8 @@ def test_result_dict_roundtrip():
             result_from_dict(bad)
     with pytest.raises(ValueError, match="config has keys"):
         result_from_dict({**data, "config": {**data["config"], "seed": 0}})
-    with pytest.raises(ValueError, match="8 columns"):
-        result_from_dict({**data, "rows": [row[:6] + [24] + row[6:]
+    with pytest.raises(ValueError, match=f"{len(COUNTERS) + 3} columns"):
+        result_from_dict({**data, "rows": [row[:-2] + [24] + row[-2:]
                                            for row in data["rows"]]})
     # a result without job ids cannot be checked for exactly-once merging
     with pytest.raises(ValueError, match="expected \\['config', 'jobs', 'rows'\\]"):
@@ -373,19 +441,19 @@ def test_parse_job_raises_only_value_error(which, edits):
 
 @functools.lru_cache(maxsize=None)
 def _n3_jobs():
-    jobs, partial = split_jobs(SearchConfig(n=3), 1)
+    jobs, partial = split_jobs(SearchConfig(n=3), 2)
     return jobs, partial, [run_job(job) for job in jobs]
 
 
 @given(st.lists(st.frozensets(st.integers(0, 2), max_size=2),
-                min_size=15, max_size=15))
-@example([frozenset({k % 3}) for k in range(15)])  # every job once
+                min_size=17, max_size=17))
+@example([frozenset({k % 3}) for k in range(17)])  # every job once
 @settings(max_examples=80, deadline=None)
 def test_merge_counts_every_job_exactly_once(homes):
     """Jobs dealt to up to three parts: some to none, some to two.  Each
     part is merged with the jobs dealt to it."""
     jobs, partial, results = _n3_jobs()
-    assert len(jobs) == 15
+    assert len(jobs) == 17
     dealt = [[k for k, home in enumerate(homes) if part in home]
              for part in range(3)]
     parts = [merge([results[k] for k in ks], [jobs[k] for k in ks])
