@@ -12,7 +12,6 @@ from .dsu import Outcome, SignedDsu
 from .fpg import pairs_of
 from .linktrack import GlueOutcome, LinkState
 from .perms import GLUING_PERMS, PERM4_INV, PERM4_SIGN
-from .search import COUNTERS
 from .validate import is_3manifold
 
 BACKEND_NAME = "py"
@@ -35,8 +34,10 @@ def search_pairing(n: int, mode: str, level: int, seed: int,
     the surviving prefixes are returned as `frontier` instead of being
     searched; attempts above the cap are still counted.
 
-    Returns a dict of counters plus per-pairing deduplicated signature
-    lists (`orient_sigs`, `nonor_sigs`) and optionally `frontier`.
+    Returns a dict of the kernel's counters (`nodes`, `prune_orient`,
+    `prune_edge`, `prune_genus`, `leaves`) plus per-pairing deduplicated
+    signature lists (`orient_sigs`, `nonor_sigs`) and optionally
+    `frontier`.
     """
     pairs = pairs_of(pairing)
     total = len(pairs)
@@ -47,7 +48,8 @@ def search_pairing(n: int, mode: str, level: int, seed: int,
     signs = SignedDsu(n) if mode == "orientable" else None
     chosen = [0] * total
 
-    count = dict.fromkeys(COUNTERS, 0)
+    count = dict.fromkeys(("nodes", "prune_orient", "prune_edge",
+                           "prune_genus", "leaves"), 0)
     orient_sigs: set[str] = set()
     nonor_sigs: set[str] = set()
     frontier: list[tuple[int, ...]] | None = [] if depth_cap is not None else None

@@ -16,11 +16,16 @@ lowest unpaired slot, the prefix fp[:s] is final, so a subtree is dropped
 as soon as some relabelling makes that prefix smaller, or once every slot
 of the tetrahedra reached so far is paired before all n have appeared (no
 completion is connected).  Completed matchings still pass `is_connected`
-and `is_canonical`.
+and the same canonicity test.
 
-The same relabelling scan, run to the end on a canonical pairing, finds
-its automorphisms (`automorphisms`): the relabellings that map it to
-itself.  The census uses them to search one gluing per symmetry orbit.
+One relabelling scan, `_advance`, serves every test.  It is resumable:
+each node of the enumeration hands its children the relabellings still
+tied with its prefix or waiting on an unpaired slot, so no child rescans
+its parent's prefix.  At a completed canonical matching the relabellings
+still tied are its automorphisms, the relabellings that map it to
+itself; the enumeration keeps them for `automorphisms`, which scans any
+other pairing from the root.  The census uses them to search one gluing
+per symmetry orbit.
 """
 
 from __future__ import annotations
@@ -72,37 +77,52 @@ def is_connected(fp: Sequence[int]) -> bool:
     return len(seen) == len(fp) // 4
 
 
-def _relabelling_beats(fp: Sequence[int], limit: int,
-                       autos: list[tuple[int, ...]] | None = None) -> bool:
-    """True when some relabelling makes the prefix fp[:limit] smaller.
+def _roots(n: int) -> list[tuple[int, ...]]:
+    """The scan's first branches: one per tetrahedron taking index 0."""
+    return [(0, 1, *(0 if t == start else -1 for t in range(n)), start,
+             *[-1] * (9 * n - 1)) for start in range(n)]
 
-    Tetrahedron indices and slot labels are assigned lazily while scanning
-    output positions in order: a partner in a fresh tetrahedron forces the
-    next index, an unlabelled partner slot forces the lowest free label,
-    and only the old slot placed at the scanned position can branch.  A
-    branch exceeding fp's prefix is dropped, one dipping below it proves
-    the claim and aborts the whole search, and one that stays equal up to
-    `limit` has no effect.  fp may be a partial matching with -1 for the
-    unpaired slots, as long as its first `limit` entries are set: a branch
-    that reads an unpaired slot is undecided and dropped, so a True
-    verdict holds for every completion of fp.
 
-    With `autos` given, each equality branch that reaches `limit` is
-    appended to it as an old-slot -> new-slot map: at limit 4n, when fp
-    is canonical, every relabelling that fixes fp, the identity included.
+def _advance(fp: Sequence[int], limit: int,
+             branches: list[tuple[int, ...]]) -> list[tuple[int, ...]] | None:
+    """Resume the relabelling scan's branches up to output position `limit`.
+
+    Returns None when some relabelling makes the prefix fp[:limit]
+    smaller, and otherwise the branches suspended again, for a later call
+    with a larger limit once more of fp is set.
+
+    A branch is one relabelling under construction, scanned output
+    position by position: a partner in a fresh tetrahedron forces the next
+    index, an unlabelled partner slot forces the lowest free label, and
+    only the old slot placed at the scanned position can branch.  A branch
+    whose value exceeds fp's is dropped, and one whose value dips below it
+    ends the scan.  A branch is suspended either tied with fp[:limit] or
+    at an unpaired slot (-1 in a partial matching), with that slot's label
+    already placed, so that resuming it takes the slot as the forced
+    option once it is paired.  Resuming never rereads a value, so the
+    values read stay valid as long as fp only gains pairs.  At limit 4n
+    the tied branches are the relabellings that fix fp.
+
+    Each branch is one flat tuple: the position q, the number of
+    tetrahedra indexed, then old tet -> new index, new index -> old tet
+    (padded with -1), old slot -> label and 4 * old tet + label -> old
+    slot.
     """
     n = len(fp) // 4
-    tetmap = [-1] * n         # old tet -> new index
-    inv: list[int] = []       # new index -> old tet
-    labels = [-1] * (4 * n)   # old slot -> label
-    lab_inv = [-1] * (4 * n)  # 4 * old tet + label -> old slot
+    tetmap: list[int] = []
+    inv: list[int] = []
+    labels: list[int] = []
+    lab_inv: list[int] = []
+    suspended: list[tuple[int, ...]] = []
+
+    def suspend(q: int) -> None:
+        suspended.append((q, len(inv), *tetmap, *inv, *[-1] * (n - len(inv)),
+                          *labels, *lab_inv))
 
     def scan(q: int) -> bool:
         """True if some completion of the current relabelling beats fp."""
         if q == limit:
-            if autos is not None:
-                autos.append(tuple(4 * tetmap[s // 4] + labels[s]
-                                   for s in range(4 * n)))
+            suspend(q)
             return False
         u, g = divmod(q, 4)
         if u == len(inv):
@@ -121,32 +141,34 @@ def _relabelling_beats(fp: Sequence[int], limit: int,
         options = ([forced] if forced != -1 else
                    [4 * tau + f for f in range(4) if labels[4 * tau + f] == -1])
         for s_old in options:
-            p_old = fp[s_old]
-            if p_old < 0:
-                continue
             undo_label = labels[s_old] == -1
             if undo_label:
                 labels[s_old] = g
                 lab_inv[4 * tau + g] = s_old
-            pt = p_old // 4
-            undo_tet = tetmap[pt] == -1
-            if undo_tet:
-                tetmap[pt] = len(inv)
-                inv.append(pt)
-            plab = labels[p_old]
-            undo_plab = plab == -1
-            if undo_plab:
-                plab = next(k for k in range(4) if lab_inv[4 * pt + k] == -1)
-                labels[p_old] = plab
-                lab_inv[4 * pt + plab] = p_old
-            value = 4 * tetmap[pt] + plab
-            beaten = value < fp[q] or (value == fp[q] and scan(q + 1))
-            if undo_plab:
-                labels[p_old] = -1
-                lab_inv[4 * pt + plab] = -1
-            if undo_tet:
-                tetmap[pt] = -1
-                inv.pop()
+            p_old = fp[s_old]
+            if p_old < 0:
+                suspend(q)
+                beaten = False
+            else:
+                pt = p_old // 4
+                undo_tet = tetmap[pt] == -1
+                if undo_tet:
+                    tetmap[pt] = len(inv)
+                    inv.append(pt)
+                plab = labels[p_old]
+                undo_plab = plab == -1
+                if undo_plab:
+                    plab = next(k for k in range(4) if lab_inv[4 * pt + k] == -1)
+                    labels[p_old] = plab
+                    lab_inv[4 * pt + plab] = p_old
+                value = 4 * tetmap[pt] + plab
+                beaten = value < fp[q] or (value == fp[q] and scan(q + 1))
+                if undo_plab:
+                    labels[p_old] = -1
+                    lab_inv[4 * pt + plab] = -1
+                if undo_tet:
+                    tetmap[pt] = -1
+                    inv.pop()
             if undo_label:
                 labels[s_old] = -1
                 lab_inv[4 * tau + g] = -1
@@ -154,37 +176,50 @@ def _relabelling_beats(fp: Sequence[int], limit: int,
                 return True
         return False
 
-    for start in range(n):
-        tetmap[start] = 0
-        inv.append(start)
-        beaten = scan(0)
-        tetmap[start] = -1
-        inv.pop()
-        if beaten:
-            return True
-    return False
+    for b in branches:
+        tetmap[:] = b[2:2 + n]
+        inv[:] = b[2 + n:2 + n + b[1]]
+        labels[:] = b[2 + 2 * n:2 + 6 * n]
+        lab_inv[:] = b[2 + 6 * n:]
+        if scan(b[0]):
+            return None
+    return suspended
+
+
+#: automorphisms of the pairings `enumerate_pairings` found, as one bytes
+#: object of concatenated slot maps each, until `automorphisms` reads them
+_FOUND_AUTOMORPHISMS: dict[Pairing, bytes] = {}
+
+
+def _moved(ties: list[tuple[int, ...]], n: int) -> bytes:
+    """The complete relabellings among `ties` other than the identity, as
+    concatenated old-slot -> new-slot maps."""
+    maps = (bytes(4 * b[2 + s // 4] + b[2 + 2 * n + s] for s in range(4 * n))
+            for b in ties)
+    identity = bytes(range(4 * n))
+    return b"".join(m for m in maps if m != identity)
 
 
 def is_canonical(fp: Pairing) -> bool:
-    """True when no relabelling yields a smaller partner sequence.
-
-    Equality branches of the scan are automorphisms and run to completion
-    without effect.
-    """
-    return not _relabelling_beats(fp, len(fp))
+    """True when no relabelling yields a smaller partner sequence."""
+    return _advance(fp, len(fp), _roots(len(fp) // 4)) is not None
 
 
 def automorphisms(fp: Pairing) -> list[tuple[int, ...]]:
     """The relabellings that fix the canonical pairing fp, other than the
     identity, as maps `a` from old slot to new slot: fp[a[s]] == a[fp[s]]
-    for every s.  They are the equality branches of `is_canonical`'s
-    scan, which only follows relabellings into canonical form, so a
-    pairing that is not canonical raises ValueError."""
-    autos: list[tuple[int, ...]] = []
-    if _relabelling_beats(fp, len(fp), autos):
-        raise ValueError("pairing is not canonical")
-    identity = tuple(range(len(fp)))
-    return [a for a in autos if a != identity]
+    for every s.  They are the tied branches of the canonicity scan at
+    its end, kept by `enumerate_pairings` for the pairings it found and
+    otherwise scanned here.  The scan only follows relabellings into
+    canonical form, so a pairing that is not canonical raises ValueError."""
+    total = len(fp)
+    moved = _FOUND_AUTOMORPHISMS.pop(fp, None)
+    if moved is None:
+        ties = _advance(fp, total, _roots(total // 4))
+        if ties is None:
+            raise ValueError("pairing is not canonical")
+        moved = _moved(ties, total // 4)
+    return [tuple(moved[i:i + total]) for i in range(0, len(moved), total)]
 
 
 def enumerate_pairings(n: int) -> Iterator[Pairing]:
@@ -192,7 +227,9 @@ def enumerate_pairings(n: int) -> Iterator[Pairing]:
 
     Depth-first order is ascending: the first slot in which two matchings
     differ is paired at the same node of the search in both, and that
-    node tries partners in increasing order.
+    node tries partners in increasing order.  Each node hands its
+    children the relabelling scan's suspended branches, and the tied
+    branches of a completed matching are kept as its automorphisms.
     """
     if n < 1:
         return
@@ -200,18 +237,25 @@ def enumerate_pairings(n: int) -> Iterator[Pairing]:
     fp = [-1] * total
     found: list[Pairing] = []
 
-    def extend(s: int, reached: int) -> None:
+    def extend(s: int, reached: int, branches: list[tuple[int, ...]]) -> None:
         """Pair the lowest unpaired slot at or after s; tetrahedra
-        0..reached-1 are the ones the matching has reached."""
+        0..reached-1 are the ones the matching has reached, and
+        `branches` the scan's branches suspended at fp's last node."""
         while s < total and fp[s] >= 0:
             s += 1
         if s == total:
             done = tuple(fp)
-            if is_connected(done) and is_canonical(done):
-                found.append(done)
+            if is_connected(done):
+                ties = _advance(done, total, branches)
+                if ties is not None:
+                    found.append(done)
+                    _FOUND_AUTOMORPHISMS[done] = _moved(ties, n)
             return
         # the reached tetrahedra are closed off, or fp[:s] is not minimal
-        if s == 4 * reached or _relabelling_beats(fp, s):
+        if s == 4 * reached:
+            return
+        branches = _advance(fp, s, branches)
+        if branches is None:
             return
         for u in range(s // 4, min(reached, n - 1) + 1):
             c = next((4 * u + k for k in range(4)
@@ -219,10 +263,10 @@ def enumerate_pairings(n: int) -> Iterator[Pairing]:
             if c < 0:
                 continue
             fp[s], fp[c] = c, s
-            extend(s + 1, max(reached, u + 1))
+            extend(s + 1, max(reached, u + 1), branches)
             fp[s], fp[c] = -1, -1
 
-    extend(0, 1)
+    extend(0, 1, _roots(n))
     yield from found
 
 

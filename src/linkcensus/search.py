@@ -14,10 +14,14 @@ pairing's automorphisms (Burton, "Enumeration of non-orientable
 gluings of one canonical pairing are isomorphic exactly when an
 automorphism of the pairing maps one to the other, so a gluing prefix is
 kept only while no automorphism maps it to a lexicographically smaller
-prefix.  The prefixes are grown one pair at a time by the kernel and
-filtered down to AUTO_DEPTH glued pairs; the kernel searches everything
-below, and the copies it still finds there merge by signature.  The
-`prune_auto` counter counts the children the filter drops.
+prefix.  The prefixes are grown one pair at a time by the kernel, depth
+first, and filtered down to AUTO_DEPTH glued pairs; the kernel searches
+everything below, and the copies it still finds there merge by
+signature.  Each prefix carries the automorphisms still tied with it,
+each parked at the first position it has not decided, so a child only
+compares the positions its new pair decides, and a prefix with none
+left goes to the kernel whole.  The `prune_auto` counter counts the
+children the filter drops; the kernels count the rest.
 
 `COUNTERS` names the per-pairing search counters once: the row fields,
 merge's sums, the stats CSV columns and the JSON row columns all follow
@@ -101,10 +105,13 @@ JOB_KEYS = ("n", "mode", "level", "index")
 COUNTERS = ("nodes", "prune_orient", "prune_edge", "prune_genus",
             "prune_auto", "leaves")
 
+#: the COUNTERS both kernels return; `_search` counts prune_auto itself
+_KERNEL_COUNTERS = tuple(c for c in COUNTERS if c != "prune_auto")
+
 #: glued pairs down to which prefixes are filtered by the pairing's
 #: automorphisms; below it the kernel searches every gluing.  A constant,
 #: so that the counters depend on neither the split depth nor the backend
-AUTO_DEPTH = 4
+AUTO_DEPTH = 5
 
 
 @dataclass(frozen=True)
@@ -202,26 +209,36 @@ def _branch_maps(pairing: tuple[int, ...], depth: int) -> tuple[bytes, ...]:
     (s1, s2) to the pair with lower slot min(a(s1), a(s2)) and gluing pi
     to rho_T2 . pi . rho_T1^-1, inverted when a swaps the two slots, where
     rho_t(v) = 3 - a(4t + 3 - v) % 4 relabels the vertices of tetrahedron
-    t (face f is opposite vertex 3 - f).  Maps that agree on the first
-    `depth` positions are kept once, and one that fixes them is dropped.
+    t (face f is opposite vertex 3 - f).  A map ends before the first
+    position whose pair lands from `depth` or beyond, since no prefix
+    that the maps compare decides it there.  Equal maps are kept once,
+    and one that fixes every position it has is dropped.
     """
     pairs = pairs_of(pairing)
     depth = min(depth, len(pairs))
     position = {s1: k for k, (s1, _) in enumerate(pairs)}
+    identity = b"".join(bytes([k, *range(24)]) for k in range(depth))
     maps = set()
     for a in automorphisms(pairing):
-        rho = [PERM4_INDEX[tuple(3 - a[4 * t + 3 - v] % 4 for v in range(4))]
-               for t in range(len(pairing) // 4)]
-        m = bytearray(25 * depth)
+        source = [0] * len(pairs)
         for k, (s1, s2) in enumerate(pairs):
-            at = 25 * position[min(a[s1], a[s2])]
-            if at < len(m):
-                m[at] = k
-                m[at + 1:at + 25] = _image_table(rho[s1 // 4], rho[s2 // 4],
-                                                 a[s1] > a[s2])
-        maps.add(bytes(m))
-    maps.discard(b"".join(bytes([k, *range(24)]) for k in range(depth)))
+            source[position[min(a[s1], a[s2])]] = k
+        m = bytearray()
+        for k in source[:depth]:
+            if k >= depth:
+                break
+            s1, s2 = pairs[k]
+            m.append(k)
+            m += _image_table(_rho(a, s1 // 4), _rho(a, s2 // 4), a[s1] > a[s2])
+        if m != identity[:len(m)]:
+            maps.add(bytes(m))
     return tuple(sorted(maps))
+
+
+def _rho(a: tuple[int, ...], t: int) -> int:
+    """Perm4 index of the vertex relabelling of tetrahedron t under a."""
+    return PERM4_INDEX[(3 - a[4 * t + 3] % 4, 3 - a[4 * t + 2] % 4,
+                        3 - a[4 * t + 1] % 4, 3 - a[4 * t] % 4)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -233,65 +250,97 @@ def _image_table(rho1: int, rho2: int, swapped: bool) -> bytes:
     return bytes(PERM4_INV[x] for x in images) if swapped else bytes(images)
 
 
-def _is_least(prefix: tuple[int, ...], maps: tuple[bytes, ...]) -> bool:
-    """False when some map sends the prefix to a lexicographically smaller
-    one.  Only the positions the maps cover take part; they are compared
-    in order until one differs or its source pair lies beyond them, so a
-    False verdict holds for every extension of the prefix."""
-    if not maps:
-        return True
-    d = min(len(prefix), len(maps[0]) // 25)
-    for m in maps:
-        for at in range(0, 25 * d, 25):
+def _ties(prefix: tuple[int, ...], ties: list) -> list | None:
+    """Advance the maps still tied with a shorter prefix over `prefix`.
+
+    A tie is a map and the offset of the first position it has not yet
+    compared; the root ties are every map at offset 0.  Positions are
+    compared in order: a smaller image drops the prefix (None), a larger
+    one or the end of the map discards the tie, and the tie stays parked
+    where the position or its source pair lies beyond the prefix.  So a
+    None verdict holds for every extension of the prefix, and a child of
+    the prefix only advances the returned ties."""
+    d = len(prefix)
+    kept = []
+    for m, at in ties:
+        for at in range(at, min(len(m), 25 * d), 25):
             src = m[at]
             if src >= d:
+                kept.append((m, at))
                 break
-            image = m[at + 1 + prefix[src]]
-            own = prefix[at // 25]
+            image, own = m[at + 1 + prefix[src]], prefix[at // 25]
             if image != own:
                 if image < own:
-                    return False
+                    return None
                 break
-    return True
+        else:
+            if 25 * d < len(m):
+                kept.append((m, 25 * d))
+    return kept
+
+
+def _is_least(prefix: tuple[int, ...], maps: tuple[bytes, ...]) -> bool:
+    """False when some map sends the prefix to a lexicographically smaller
+    one: the root ties advanced over the prefix."""
+    return _ties(prefix, [(m, 0) for m in maps]) is not None
+
+
+def _root_ties(pairing: tuple[int, ...]) -> list:
+    """Every map of the pairing's automorphisms, none yet compared."""
+    return [(m, 0) for m in _branch_maps(pairing, AUTO_DEPTH)]
 
 
 def _search(eng, config: SearchConfig, index: int, pairing: tuple[int, ...],
-            prefix: tuple[int, ...], cap: int | None) -> tuple[PairingRow, list]:
-    """Search the tree of pairing `index` below `prefix`, down to `cap`
-    glued pairs or to the leaves.
+            prefix: tuple[int, ...], ties: list,
+            cap: int | None) -> tuple[PairingRow, list]:
+    """Search the tree of pairing `index` below `prefix`, whose ties under
+    the pairing's automorphisms are `ties`, down to `cap` glued pairs or
+    to the leaves.
 
     Down to AUTO_DEPTH, or one pair short of the leaves (where the kernel
     would count a leaf before writing a frontier), the children of each
     prefix come from a `depth_cap = d + 1` kernel call and only the least
-    under the pairing's automorphisms go on; `prune_auto` counts the rest.
-    The kernel searches every gluing below.  Returns the row of counters
-    and signatures, and the prefixes at `cap`.
+    under the pairing's automorphisms go on, depth first; `prune_auto`
+    counts the rest.  The kernel searches every gluing below, and the
+    whole subtree of a prefix that no automorphism is still tied with in
+    one call.  Returns the row of counters and signatures, and the
+    prefixes at `cap`.
     """
     total = len(pairing) // 2
     count = dict.fromkeys(COUNTERS, 0)
     orient: set[str] = set()
     nonor: set[str] = set()
+    frontier: list[tuple[int, ...]] = []
 
     def descend(p: tuple[int, ...], depth_cap: int | None) -> list:
         raw = eng.search_pairing(config.n, config.mode, config.level, 0,
                                  pairing, prefix=p, depth_cap=depth_cap)
-        for c in COUNTERS:
-            count[c] += raw.get(c, 0)  # the kernels leave prune_auto to us
+        for c in _KERNEL_COUNTERS:
+            count[c] += raw[c]
         orient.update(raw["orient_sigs"])
         nonor.update(raw["nonor_sigs"])
         return raw["frontier"] or []
 
-    level = [prefix]
     stop = min(AUTO_DEPTH, total - 1, total if cap is None else cap)
-    for d in range(len(prefix), stop):
-        maps = _branch_maps(pairing, AUTO_DEPTH)
-        children = [child for p in level for child in descend(p, d + 1)]
-        level = [child for child in children if _is_least(child, maps)]
-        count["prune_auto"] += len(children) - len(level)
-    if cap is None or cap > max(stop, len(prefix)):
-        level = [child for p in level for child in descend(p, cap)]
+
+    def expand(p: tuple[int, ...], ties: list) -> None:
+        # with no automorphism tied, the filter drops nothing below p
+        if len(p) >= stop or not ties:
+            if cap is None or cap > len(p):
+                frontier.extend(descend(p, cap))
+            else:
+                frontier.append(p)
+            return
+        for child in descend(p, len(p) + 1):
+            child_ties = _ties(child, ties)
+            if child_ties is None:
+                count["prune_auto"] += 1
+            else:
+                expand(child, child_ties)
+
+    expand(prefix, ties)
     return PairingRow(index, **count, orient_sigs=tuple(sorted(orient)),
-                      nonor_sigs=tuple(sorted(nonor))), level
+                      nonor_sigs=tuple(sorted(nonor))), frontier
 
 
 def enumerate_census(config: SearchConfig, backend: str | None = None) -> CensusResult:
@@ -318,7 +367,8 @@ def split_jobs(config: SearchConfig, depth: int,
     jobs: list[JobDescriptor] = []
     rows = []
     for index, pairing in enumerate(enumerate_pairings(config.n)):
-        row, frontier = _search(eng, config, index, pairing, (), depth)
+        row, frontier = _search(eng, config, index, pairing, (),
+                                _root_ties(pairing), depth)
         rows.append(row)
         jobs.extend(JobDescriptor(config, index, pairing, prefix)
                     for prefix in frontier)
@@ -338,12 +388,12 @@ def run_job(job: JobDescriptor, backend: str | None = None) -> CensusResult:
     # a prefix the kernel cannot replay is left to the kernel's diagnostics
     replayable = len(job.prefix) <= len(pairs) and all(
         pi in GLUING_PERMS[s % 4][p % 4] for (s, p), pi in zip(pairs, job.prefix))
-    if replayable and not _is_least(job.prefix,
-                                     _branch_maps(job.pairing, AUTO_DEPTH)):
+    ties = _ties(job.prefix, _root_ties(job.pairing)) if replayable else []
+    if ties is None:
         raise ValueError("corrupt job: an automorphism of the pairing maps "
                          "the prefix to a smaller one")
     row, _ = _search(eng, job.config, job.pairing_index, job.pairing,
-                     job.prefix, None)
+                     job.prefix, ties, None)
     return CensusResult(job.config, (row,), (job.id,))
 
 

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from linkcensus import fpg
 from linkcensus.core import UnionFind
 from linkcensus.fpg import (
     automorphisms,
@@ -48,7 +49,7 @@ def test_enumeration_is_sorted_canonical_connected(n):
         assert is_connected(fp)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_automorphisms_fix_their_pairing(n):
     for fp in enumerate_pairings(n):
         autos = automorphisms(fp)
@@ -59,13 +60,29 @@ def test_automorphisms_fix_their_pairing(n):
             assert all(fp[a[s]] == a[fp[s]] for s in range(4 * n))
 
 
+def _collected_and_scanned(n):
+    """Each pairing's automorphisms as `enumerate_pairings` collected them,
+    and as a scan from the root finds them once those are read."""
+    pairings = list(enumerate_pairings(n))
+    assert all(fp in fpg._FOUND_AUTOMORPHISMS for fp in pairings)
+    collected = [set(automorphisms(fp)) for fp in pairings]
+    assert not any(fp in fpg._FOUND_AUTOMORPHISMS for fp in pairings)
+    return pairings, collected, [set(automorphisms(fp)) for fp in pairings]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_automorphisms_match_brute_force(n):
-    for fp in enumerate_pairings(n):
-        assert set(automorphisms(fp)) == brute_automorphisms(fp), fp
+    pairings, collected, scanned = _collected_and_scanned(n)
+    assert collected == scanned == [brute_automorphisms(fp) for fp in pairings]
     # the scan follows relabellings into canonical form only
     with pytest.raises(ValueError, match="not canonical"):
         automorphisms((5, 6, 7, 4, 3, 0, 1, 2))
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_collected_automorphisms_match_a_scan_from_the_root(n):
+    _, collected, scanned = _collected_and_scanned(n)
+    assert collected == scanned
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

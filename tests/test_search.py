@@ -30,7 +30,7 @@ from linkcensus.search import (
     stats_csv,
     summary_line,
 )
-from linkcensus.search import _branch_maps, _is_least
+from linkcensus.search import _KERNEL_COUNTERS, _branch_maps, _is_least, _ties
 from linkcensus.validate import is_3manifold
 
 # manifold triangulation counts by size: (total, orientable, nonorientable)
@@ -161,16 +161,81 @@ def test_split_run_merge_reproduces_census(depth):
         assert merge([partial], jobs) == census(2)
 
 
+def _split_run_merge(n: int, depth: int, backend: str):
+    jobs, partial = split_jobs(SearchConfig(n=n), depth, backend)
+    return merge([partial, *(run_job(job, backend) for job in jobs)], jobs)
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("depth", [0, AUTO_DEPTH - 1, AUTO_DEPTH,
-                                   AUTO_DEPTH + 1, 99])
+@pytest.mark.parametrize("depth", [0, 3, 4, 5, 99])
 def test_split_counters_across_auto_depth(backend, depth):
-    """n=3 has six pairs, so its splits fall above, at and below the depth
-    where the automorphism filter stops; every counter matches."""
-    jobs, partial = split_jobs(SearchConfig(n=3), depth, backend)
-    merged = merge([partial, *(run_job(job, backend) for job in jobs)], jobs)
+    """n=3 has six pairs, so the automorphism filter stops one pair short
+    of the leaves, at 5: its splits fall above, at and beyond that depth;
+    every counter matches."""
+    merged = _split_run_merge(3, depth, backend)
     assert merged == census(3)
     assert merged.counts()["prune_auto"] > 0
+
+
+@needs_fast
+@pytest.mark.parametrize("depth", [0, AUTO_DEPTH - 1, AUTO_DEPTH,
+                                   AUTO_DEPTH + 1, 99])
+def test_split_counters_below_auto_depth(depth):
+    """n=4 has eight pairs, so the filter stops at AUTO_DEPTH and some
+    splits fall below it; every counter matches."""
+    merged = _split_run_merge(4, depth, "fast")
+    assert merged == census(4)
+    assert merged.counts()["prune_auto"] > 0
+
+
+#: level-2 counters of census(n) on the compiled kernel, in COUNTERS
+#: order; a change to the search's shape changes these
+SEARCH_SHAPE = {
+    3: (1_944, 412, 501, 412, 178, 121),
+    4: (33_840, 9_059, 7_497, 9_483, 815, 1_356),
+    5: (775_206, 243_159, 141_196, 239_306, 3_493, 18_879),
+}
+
+
+@needs_fast
+@pytest.mark.parametrize("n", sorted(SEARCH_SHAPE))
+def test_search_shape_is_pinned(n):
+    assert tuple(census(n, backend="fast").counts().values()) == SEARCH_SHAPE[n]
+
+
+@needs_fast
+def test_kernels_return_the_same_counters():
+    """Each kernel returns its own five counters, not prune_auto; only the
+    compiled kernel's boundary_peak is extra."""
+    fp = next(enumerate_pairings(2))
+    raws = [load_backend(b).search_pairing(2, "all", 2, 0, fp)
+            for b in ("py", "fast")]
+    keys = [set(raw) - {"orient_sigs", "nonor_sigs", "frontier"}
+            for raw in raws]
+    assert keys[0] == keys[1] - {"boundary_peak"} == set(_KERNEL_COUNTERS)
+    assert [raws[0][c] for c in _KERNEL_COUNTERS] == [
+        raws[1][c] for c in _KERNEL_COUNTERS]
+
+
+@functools.cache
+def _full_depth_maps() -> list[tuple[tuple[int, ...], tuple[bytes, ...]]]:
+    return [(fp, _branch_maps(fp, 2 * n)) for n in (1, 2, 3, 4)
+            for fp in enumerate_pairings(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_tie_cursor_matches_the_root_ties(data):
+    """Ties advanced one pair at a time keep and drop the same prefixes as
+    the root ties advanced over the whole prefix, and a drop is final."""
+    fp, maps = data.draw(st.sampled_from(_full_depth_maps()))
+    pairs = pairs_of(fp)
+    ties, prefix = [(m, 0) for m in maps], ()
+    for s, p in pairs[:data.draw(st.integers(0, len(pairs)))]:
+        prefix += (data.draw(st.sampled_from(GLUING_PERMS[s % 4][p % 4])),)
+        if ties is not None:
+            ties = _ties(prefix, ties)
+        assert (ties is not None) == _is_least(prefix, maps), prefix
 
 
 def _least_gluings(n: int, backend: str) -> tuple[int, list[str]]:
