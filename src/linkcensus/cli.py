@@ -112,7 +112,7 @@ def _cmd_fpg(args) -> int:
     if args.size < 1:
         raise ValueError("size must be at least 1")
     with _output(args.out) as out:
-        for fp in enumerate_pairings(args.size):
+        for fp, _ in enumerate_pairings(args.size):
             line = format_pairing(fp)
             if args.graphs:
                 line += f" | {graph_summary(fp)}"

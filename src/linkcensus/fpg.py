@@ -23,9 +23,9 @@ each node of the enumeration hands its children the relabellings still
 tied with its prefix or waiting on an unpaired slot, so no child rescans
 its parent's prefix.  At a completed canonical matching the relabellings
 still tied are its automorphisms, the relabellings that map it to
-itself; the enumeration keeps them for `automorphisms`, which scans any
-other pairing from the root.  The census uses them to search one gluing
-per symmetry orbit.
+itself; the enumeration yields them with each pairing, and
+`automorphisms` scans a single pairing from the root.  The census uses
+them to search one gluing per symmetry orbit.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import re
 from collections.abc import Iterator, Sequence
 
 Pairing = tuple[int, ...]
+Relabelling = tuple[int, ...]  # old slot -> new slot
 
 
 def pairs_of(fp: Pairing) -> list[tuple[int, int]]:
@@ -186,18 +187,13 @@ def _advance(fp: Sequence[int], limit: int,
     return suspended
 
 
-#: automorphisms of the pairings `enumerate_pairings` found, as one bytes
-#: object of concatenated slot maps each, until `automorphisms` reads them
-_FOUND_AUTOMORPHISMS: dict[Pairing, bytes] = {}
-
-
-def _moved(ties: list[tuple[int, ...]], n: int) -> bytes:
+def _moved(ties: list[tuple[int, ...]], n: int) -> list[Relabelling]:
     """The complete relabellings among `ties` other than the identity, as
-    concatenated old-slot -> new-slot maps."""
-    maps = (bytes(4 * b[2 + s // 4] + b[2 + 2 * n + s] for s in range(4 * n))
+    maps from old slot to new slot."""
+    identity = tuple(range(4 * n))
+    maps = (tuple(4 * b[2 + s // 4] + b[2 + 2 * n + s] for s in range(4 * n))
             for b in ties)
-    identity = bytes(range(4 * n))
-    return b"".join(m for m in maps if m != identity)
+    return [m for m in maps if m != identity]
 
 
 def is_canonical(fp: Pairing) -> bool:
@@ -205,37 +201,35 @@ def is_canonical(fp: Pairing) -> bool:
     return _advance(fp, len(fp), _roots(len(fp) // 4)) is not None
 
 
-def automorphisms(fp: Pairing) -> list[tuple[int, ...]]:
-    """The relabellings that fix the canonical pairing fp, other than the
-    identity, as maps `a` from old slot to new slot: fp[a[s]] == a[fp[s]]
-    for every s.  They are the tied branches of the canonicity scan at
-    its end, kept by `enumerate_pairings` for the pairings it found and
-    otherwise scanned here.  The scan only follows relabellings into
-    canonical form, so a pairing that is not canonical raises ValueError."""
-    total = len(fp)
-    moved = _FOUND_AUTOMORPHISMS.pop(fp, None)
-    if moved is None:
-        ties = _advance(fp, total, _roots(total // 4))
-        if ties is None:
-            raise ValueError("pairing is not canonical")
-        moved = _moved(ties, total // 4)
-    return [tuple(moved[i:i + total]) for i in range(0, len(moved), total)]
+def automorphisms(fp: Pairing) -> list[Relabelling]:
+    """The relabellings other than the identity that fix the canonical
+    connected pairing fp, as maps `a` from old slot to new slot with
+    fp[a[s]] == a[fp[s]], as `enumerate_pairings` yields them.  The scan
+    follows relabellings into canonical form only, so a pairing that is
+    not canonical, or not connected, raises ValueError."""
+    if not is_connected(fp):
+        raise ValueError("pairing is not connected")
+    ties = _advance(fp, len(fp), _roots(len(fp) // 4))
+    if ties is None:
+        raise ValueError("pairing is not canonical")
+    return _moved(ties, len(fp) // 4)
 
 
-def enumerate_pairings(n: int) -> Iterator[Pairing]:
-    """Canonical connected pairings on n tetrahedra in ascending order.
+def enumerate_pairings(n: int) -> Iterator[tuple[Pairing, list[Relabelling]]]:
+    """Canonical connected pairings on n tetrahedra in ascending order,
+    each with its automorphisms as `automorphisms` gives them.
 
     Depth-first order is ascending: the first slot in which two matchings
     differ is paired at the same node of the search in both, and that
     node tries partners in increasing order.  Each node hands its
     children the relabelling scan's suspended branches, and the tied
-    branches of a completed matching are kept as its automorphisms.
+    branches of a completed matching are its automorphisms.
     """
     if n < 1:
         return
     total = 4 * n
     fp = [-1] * total
-    found: list[Pairing] = []
+    found: list[tuple[Pairing, list[Relabelling]]] = []
 
     def extend(s: int, reached: int, branches: list[tuple[int, ...]]) -> None:
         """Pair the lowest unpaired slot at or after s; tetrahedra
@@ -248,8 +242,7 @@ def enumerate_pairings(n: int) -> Iterator[Pairing]:
             if is_connected(done):
                 ties = _advance(done, total, branches)
                 if ties is not None:
-                    found.append(done)
-                    _FOUND_AUTOMORPHISMS[done] = _moved(ties, n)
+                    found.append((done, _moved(ties, n)))
             return
         # the reached tetrahedra are closed off, or fp[:s] is not minimal
         if s == 4 * reached:

@@ -21,7 +21,8 @@ signature.  Each prefix carries the automorphisms still tied with it,
 each parked at the first position it has not decided, so a child only
 compares the positions its new pair decides, and a prefix with none
 left goes to the kernel whole.  The `prune_auto` counter counts the
-children the filter drops; the kernels count the rest.
+children the filter drops; the kernels count the rest.  The automorphisms
+come from the enumeration in `split_jobs` or a scan in `run_job`.
 
 `COUNTERS` names the per-pairing search counters once: the row fields,
 merge's sums, the stats CSV columns and the JSON row columns all follow
@@ -198,10 +199,10 @@ class JobDescriptor:
         return self.pairing_index, tuple(self.prefix)
 
 
-@functools.lru_cache(maxsize=1024)
-def _branch_maps(pairing: tuple[int, ...], depth: int) -> tuple[bytes, ...]:
-    """The pairing's automorphisms acting on gluing prefixes, cut to their
-    first `depth` positions, each as 25 bytes per position.
+def _branch_maps(pairing: tuple[int, ...], autos: list[tuple[int, ...]],
+                 depth: int) -> tuple[bytes, ...]:
+    """The pairing's automorphisms `autos` acting on gluing prefixes, cut
+    to their first `depth` positions, each as 25 bytes per position.
 
     Map m sends gluing g to g' with g'[k] = m[25k + 1 + g[m[25k]]]: the
     byte at 25k names the pair whose image lands at position k, the next
@@ -219,7 +220,7 @@ def _branch_maps(pairing: tuple[int, ...], depth: int) -> tuple[bytes, ...]:
     position = {s1: k for k, (s1, _) in enumerate(pairs)}
     identity = b"".join(bytes([k, *range(24)]) for k in range(depth))
     maps = set()
-    for a in automorphisms(pairing):
+    for a in autos:
         source = [0] * len(pairs)
         for k, (s1, s2) in enumerate(pairs):
             source[position[min(a[s1], a[s2])]] = k
@@ -241,7 +242,7 @@ def _rho(a: tuple[int, ...], t: int) -> int:
                         3 - a[4 * t + 1] % 4, 3 - a[4 * t] % 4)]
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _image_table(rho1: int, rho2: int, swapped: bool) -> bytes:
     """Image of each Perm4 index pi under relabellings rho1 and rho2 of
     its two tetrahedra: rho2 . pi . rho1^-1, inverted when swapped."""
@@ -279,23 +280,26 @@ def _ties(prefix: tuple[int, ...], ties: list) -> list | None:
     return kept
 
 
-def _is_least(prefix: tuple[int, ...], maps: tuple[bytes, ...]) -> bool:
-    """False when some map sends the prefix to a lexicographically smaller
-    one: the root ties advanced over the prefix."""
-    return _ties(prefix, [(m, 0) for m in maps]) is not None
+#: each pairing's `_branch_maps` to AUTO_DEPTH, built once per process
+_MAPS: dict[tuple[int, ...], tuple[bytes, ...]] = {}
 
 
-def _root_ties(pairing: tuple[int, ...]) -> list:
-    """Every map of the pairing's automorphisms, none yet compared."""
-    return [(m, 0) for m in _branch_maps(pairing, AUTO_DEPTH)]
+def _maps(pairing: tuple[int, ...], autos=None) -> tuple[bytes, ...]:
+    """The pairing's maps, built on first use from its automorphisms
+    `autos`, or from `automorphisms(pairing)` when None."""
+    if pairing not in _MAPS:
+        _MAPS[pairing] = _branch_maps(
+            pairing, automorphisms(pairing) if autos is None else autos,
+            AUTO_DEPTH)
+    return _MAPS[pairing]
 
 
 def _search(eng, config: SearchConfig, index: int, pairing: tuple[int, ...],
-            prefix: tuple[int, ...], ties: list,
+            prefix: tuple[int, ...], maps: tuple[bytes, ...],
             cap: int | None) -> tuple[PairingRow, list]:
-    """Search the tree of pairing `index` below `prefix`, whose ties under
-    the pairing's automorphisms are `ties`, down to `cap` glued pairs or
-    to the leaves.
+    """Search the tree of pairing `index` below `prefix`, filtered by the
+    pairing's `maps`, down to `cap` glued pairs or to the leaves; a
+    prefix that a map sends to a smaller one raises ValueError.
 
     Down to AUTO_DEPTH, or one pair short of the leaves (where the kernel
     would count a leaf before writing a frontier), the children of each
@@ -306,6 +310,10 @@ def _search(eng, config: SearchConfig, index: int, pairing: tuple[int, ...],
     one call.  Returns the row of counters and signatures, and the
     prefixes at `cap`.
     """
+    ties = _ties(prefix, [(m, 0) for m in maps])
+    if ties is None:
+        raise ValueError("corrupt job: an automorphism of the pairing maps "
+                         "the prefix to a smaller one")
     total = len(pairing) // 2
     count = dict.fromkeys(COUNTERS, 0)
     orient: set[str] = set()
@@ -366,9 +374,9 @@ def split_jobs(config: SearchConfig, depth: int,
     eng = load_backend(backend)
     jobs: list[JobDescriptor] = []
     rows = []
-    for index, pairing in enumerate(enumerate_pairings(config.n)):
+    for index, (pairing, autos) in enumerate(enumerate_pairings(config.n)):
         row, frontier = _search(eng, config, index, pairing, (),
-                                _root_ties(pairing), depth)
+                                _maps(pairing, autos), depth)
         rows.append(row)
         jobs.extend(JobDescriptor(config, index, pairing, prefix)
                     for prefix in frontier)
@@ -380,20 +388,17 @@ def run_job(job: JobDescriptor, backend: str | None = None) -> CensusResult:
 
     Counts cover only the subtree below the prefix.  A job that
     split_jobs cannot have written raises ValueError: a pairing that is
-    not canonical, a prefix that fails its own pruning checks, and one
-    that an automorphism of the pairing maps to a smaller prefix.
+    not canonical or not connected, a prefix that fails its own pruning
+    checks, and one that an automorphism maps to a smaller prefix.
     """
     eng = load_backend(backend)
     pairs = pairs_of(job.pairing)
     # a prefix the kernel cannot replay is left to the kernel's diagnostics
     replayable = len(job.prefix) <= len(pairs) and all(
         pi in GLUING_PERMS[s % 4][p % 4] for (s, p), pi in zip(pairs, job.prefix))
-    ties = _ties(job.prefix, _root_ties(job.pairing)) if replayable else []
-    if ties is None:
-        raise ValueError("corrupt job: an automorphism of the pairing maps "
-                         "the prefix to a smaller one")
+    maps = _maps(job.pairing) if replayable else ()
     row, _ = _search(eng, job.config, job.pairing_index, job.pairing,
-                     job.prefix, ties, None)
+                     job.prefix, maps, None)
     return CensusResult(job.config, (row,), (job.id,))
 
 
@@ -552,7 +557,11 @@ def parse_job(line: str) -> JobDescriptor:
     parts = [p.strip() for p in line.split("|")]
     if len(parts) != 3:
         raise ValueError("job line must have config | pairing | prefix")
-    head = dict(tok.partition("=")[::2] for tok in parts[0].split())
+    head: dict[str, str] = {}
+    for key, _, value in (tok.partition("=") for tok in parts[0].split()):
+        if key in head:
+            raise ValueError(f"job line repeats {key}=")
+        head[key] = value
     for key in JOB_KEYS:
         if key not in head:
             raise ValueError(f"job line lacks {key}=")

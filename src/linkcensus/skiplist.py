@@ -45,9 +45,6 @@ class CyclicSkipList:
     def is_sentinel(self, node: int) -> bool:
         return node >= self.count
 
-    def height(self, node: int) -> int:
-        return self._h[node]
-
     def in_cycle(self, node: int) -> bool:
         return self._live[node]
 

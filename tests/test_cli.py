@@ -275,7 +275,8 @@ def test_validate_reads_stdin_and_flags_parse_errors(capsys, monkeypatch):
 def test_fpg_listing(capsys):
     rc, out, _ = run_cli(capsys, "fpg", "--size", "2")
     assert rc == 0
-    assert out.splitlines() == [format_pairing(fp) for fp in enumerate_pairings(2)]
+    assert out.splitlines() == [format_pairing(fp)
+                                for fp, _ in enumerate_pairings(2)]
     rc, out, _ = run_cli(capsys, "fpg", "--size", "2", "--graphs")
     assert rc == 0
     assert all(" | loops " in line for line in out.splitlines())
@@ -344,6 +345,12 @@ def test_contract_violations_exit_one(tmp_path, capsys):
     rc, out, err = run_cli(capsys, "run-job", "--in", str(jobs))
     assert (rc, out) == (1, "")
     assert err == "error: job index -1 is negative\n"
+    # canonical, but two tetrahedra each glued to itself: refused before
+    # the kernel searches it
+    jobs.write_text("n=2 mode=all level=2 index=0 | "
+                    "2 ; 0.1 0.0 0.3 0.2 1.1 1.0 1.3 1.2 |\n")
+    rc, out, err = run_cli(capsys, "run-job", "--in", str(jobs))
+    assert (rc, out, err) == (1, "", "error: pairing is not connected\n")
 
 
 def test_run_job_refuses_a_symmetric_copy(tmp_path, capsys):
@@ -353,7 +360,7 @@ def test_run_job_refuses_a_symmetric_copy(tmp_path, capsys):
     survivors = {job.id for job in split_jobs(config, 1)[0]}
     eng = load_backend()
     index, fp, prefix = next(
-        (index, fp, prefix) for index, fp in enumerate(enumerate_pairings(2))
+        (index, fp, prefix) for index, (fp, _) in enumerate(enumerate_pairings(2))
         for prefix in eng.search_pairing(2, "all", 2, 0, fp,
                                          depth_cap=1)["frontier"]
         if (index, prefix) not in survivors)

@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-from linkcensus import fpg
 from linkcensus.core import UnionFind
 from linkcensus.fpg import (
     automorphisms,
@@ -40,7 +39,7 @@ def test_is_canonical_matches_orbit_minimum():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_enumeration_is_sorted_canonical_connected(n):
-    seen = list(enumerate_pairings(n))
+    seen = [fp for fp, _ in enumerate_pairings(n)]
     assert len(seen) == PAIRING_COUNTS[n]
     assert seen == sorted(seen)
     assert len(seen) == len(set(seen))
@@ -51,8 +50,7 @@ def test_enumeration_is_sorted_canonical_connected(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_automorphisms_fix_their_pairing(n):
-    for fp in enumerate_pairings(n):
-        autos = automorphisms(fp)
+    for fp, autos in enumerate_pairings(n):
         assert len(set(autos)) == len(autos)
         for a in autos:
             assert sorted(a) == list(range(4 * n)) and a != tuple(range(4 * n))
@@ -60,20 +58,12 @@ def test_automorphisms_fix_their_pairing(n):
             assert all(fp[a[s]] == a[fp[s]] for s in range(4 * n))
 
 
-def _collected_and_scanned(n):
-    """Each pairing's automorphisms as `enumerate_pairings` collected them,
-    and as a scan from the root finds them once those are read."""
-    pairings = list(enumerate_pairings(n))
-    assert all(fp in fpg._FOUND_AUTOMORPHISMS for fp in pairings)
-    collected = [set(automorphisms(fp)) for fp in pairings]
-    assert not any(fp in fpg._FOUND_AUTOMORPHISMS for fp in pairings)
-    return pairings, collected, [set(automorphisms(fp)) for fp in pairings]
-
-
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_automorphisms_match_brute_force(n):
-    pairings, collected, scanned = _collected_and_scanned(n)
-    assert collected == scanned == [brute_automorphisms(fp) for fp in pairings]
+    """The automorphisms the enumeration yields are those a scan from the
+    root finds and those of the whole relabelling orbit."""
+    for fp, autos in enumerate_pairings(n):
+        assert set(autos) == set(automorphisms(fp)) == brute_automorphisms(fp)
     # the scan follows relabellings into canonical form only
     with pytest.raises(ValueError, match="not canonical"):
         automorphisms((5, 6, 7, 4, 3, 0, 1, 2))
@@ -81,13 +71,13 @@ def test_automorphisms_match_brute_force(n):
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_collected_automorphisms_match_a_scan_from_the_root(n):
-    _, collected, scanned = _collected_and_scanned(n)
-    assert collected == scanned
+    for fp, autos in enumerate_pairings(n):
+        assert set(autos) == set(automorphisms(fp))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_orderly_enumeration_matches_filtered(n):
-    assert list(enumerate_pairings(n)) == filtered_pairings(n)
+    assert [fp for fp, _ in enumerate_pairings(n)] == filtered_pairings(n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -109,11 +99,11 @@ def test_enumeration_matches_exhaustive_scan(n):
         rec([-1] * (4 * n), out)
         return out
 
-    assert set(enumerate_pairings(n)) == all_pairings()
+    assert {fp for fp, _ in enumerate_pairings(n)} == all_pairings()
 
 
 def test_format_roundtrip():
-    for fp in enumerate_pairings(3):
+    for fp, _ in enumerate_pairings(3):
         n, back = parse_pairing(format_pairing(fp))
         assert n == 3 and back == fp
 
@@ -149,7 +139,7 @@ def test_is_connected_matches_union_find_on_partial_matchings():
 
 
 def test_pairs_and_graph_helpers():
-    fp = next(iter(enumerate_pairings(2)))
+    fp, _ = next(enumerate_pairings(2))
     pairs = pairs_of(fp)
     assert len(pairs) == 4
     assert all(fp[a] == b and fp[b] == a for a, b in pairs)
@@ -158,7 +148,7 @@ def test_pairs_and_graph_helpers():
 
 
 def test_size_two_graphs():
-    two = sorted(graph_of(fp) for fp in enumerate_pairings(2))
+    two = sorted(graph_of(fp) for fp, _ in enumerate_pairings(2))
     assert two == [
         ((0, 0), (0, 1), (0, 1), (1, 1)),
         ((0, 1), (0, 1), (0, 1), (0, 1)),
@@ -168,7 +158,7 @@ def test_size_two_graphs():
 def test_size_three_contains_loop_plus_triple_edge():
     target = sorted([(0, 0), (0, 1), (0, 2), (1, 2), (1, 2), (1, 2)])
     found = False
-    for fp in enumerate_pairings(3):
+    for fp, _ in enumerate_pairings(3):
         for rho in itertools.permutations(range(3)):
             relab = sorted(tuple(sorted((rho[u], rho[v])))
                            for u, v in graph_of(fp))
@@ -181,4 +171,8 @@ def test_disconnected_pairing_rejected():
     # two tets glued only to themselves: 0-1, 2-3 within each
     fp = (1, 0, 3, 2, 5, 4, 7, 6)
     assert not is_connected(fp)
-    assert fp not in set(enumerate_pairings(2))
+    assert fp not in {fp for fp, _ in enumerate_pairings(2)}
+    # canonical, but no census pairing: its automorphisms are refused
+    assert is_canonical(fp)
+    with pytest.raises(ValueError, match="pairing is not connected"):
+        automorphisms(fp)

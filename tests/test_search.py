@@ -9,8 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import census, fast_backend_available, needs_fast
+from linkcensus import search
 from linkcensus.core import decode_signature, is_orientable
-from linkcensus.fpg import enumerate_pairings, pairs_of
+from linkcensus.fpg import automorphisms, enumerate_pairings, pairs_of
 from linkcensus.perms import GLUING_PERMS
 from linkcensus.search import (
     AUTO_DEPTH,
@@ -30,7 +31,7 @@ from linkcensus.search import (
     stats_csv,
     summary_line,
 )
-from linkcensus.search import _KERNEL_COUNTERS, _branch_maps, _is_least, _ties
+from linkcensus.search import _KERNEL_COUNTERS, _branch_maps, _ties
 from linkcensus.validate import is_3manifold
 
 # manifold triangulation counts by size: (total, orientable, nonorientable)
@@ -207,7 +208,7 @@ def test_search_shape_is_pinned(n):
 def test_kernels_return_the_same_counters():
     """Each kernel returns its own five counters, not prune_auto; only the
     compiled kernel's boundary_peak is extra."""
-    fp = next(enumerate_pairings(2))
+    fp, _ = next(enumerate_pairings(2))
     raws = [load_backend(b).search_pairing(2, "all", 2, 0, fp)
             for b in ("py", "fast")]
     keys = [set(raw) - {"orient_sigs", "nonor_sigs", "frontier"}
@@ -219,8 +220,8 @@ def test_kernels_return_the_same_counters():
 
 @functools.cache
 def _full_depth_maps() -> list[tuple[tuple[int, ...], tuple[bytes, ...]]]:
-    return [(fp, _branch_maps(fp, 2 * n)) for n in (1, 2, 3, 4)
-            for fp in enumerate_pairings(n)]
+    return [(fp, _branch_maps(fp, autos, 2 * n)) for n in (1, 2, 3, 4)
+            for fp, autos in enumerate_pairings(n)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -235,7 +236,8 @@ def test_tie_cursor_matches_the_root_ties(data):
         prefix += (data.draw(st.sampled_from(GLUING_PERMS[s % 4][p % 4])),)
         if ties is not None:
             ties = _ties(prefix, ties)
-        assert (ties is not None) == _is_least(prefix, maps), prefix
+        least = _ties(prefix, [(m, 0) for m in maps]) is not None
+        assert (ties is not None) == least, prefix
 
 
 def _least_gluings(n: int, backend: str) -> tuple[int, list[str]]:
@@ -244,20 +246,20 @@ def _least_gluings(n: int, backend: str) -> tuple[int, list[str]]:
     driven through the kernel's prefix and depth_cap contract."""
     eng = load_backend(backend)
     leaves, sigs = 0, []
-    for fp in enumerate_pairings(n):
+    for fp, autos in enumerate_pairings(n):
         pairs = pairs_of(fp)
-        maps = _branch_maps(fp, len(pairs))
+        maps = _branch_maps(fp, autos, len(pairs))
         level = [()]
         for d in range(len(pairs) - 1):
             level = [child for p in level for child in eng.search_pairing(
                 n, "all", 2, 0, fp, prefix=p, depth_cap=d + 1)["frontier"]
-                if _is_least(child, maps)]
+                if _ties(child, [(m, 0) for m in maps]) is not None]
         # the last pair by replay: the kernel counts a leaf before it
         # would write a frontier there
         s1, s2 = pairs[-1]
         for p in level:
             for pi in GLUING_PERMS[s1 % 4][s2 % 4]:
-                if not _is_least((*p, pi), maps):
+                if _ties((*p, pi), [(m, 0) for m in maps]) is None:
                     continue
                 try:
                     raw = eng.search_pairing(n, "all", 2, 0, fp, prefix=(*p, pi))
@@ -315,7 +317,7 @@ def test_corrupt_jobs_rejected(backend):
     # nor can one the kernel keeps but the automorphism filter drops
     survivors = {j.id for j in jobs}
     dropped = [(index, fp, prefix)
-               for index, fp in enumerate(enumerate_pairings(2))
+               for index, (fp, _) in enumerate(enumerate_pairings(2))
                for prefix in eng.search_pairing(2, "all", 2, 0, fp,
                                                 depth_cap=1)["frontier"]
                if (index, prefix) not in survivors]
@@ -323,6 +325,49 @@ def test_corrupt_jobs_rejected(backend):
     for index, fp, prefix in dropped:
         with pytest.raises(ValueError, match="maps the prefix to a smaller one"):
             run_job(JobDescriptor(config, index, fp, prefix), backend=backend)
+
+
+#: a canonical pairing of two tetrahedra each glued to itself
+DISCONNECTED_JOB = ("n=2 mode=all level=2 index=0 | "
+                    "2 ; 0.1 0.0 0.3 0.2 1.1 1.0 1.3 1.2 |")
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_run_job_refuses_a_disconnected_pairing(backend):
+    """No census enumerates a disconnected pairing, so neither kernel
+    searches one."""
+    with pytest.raises(ValueError, match="^pairing is not connected$"):
+        run_job(parse_job(DISCONNECTED_JOB), backend=backend)
+
+
+def test_each_pairing_maps_are_built_once(monkeypatch):
+    """Two splits and all their jobs in one process build each pairing's
+    maps once, from the automorphisms the enumeration yields; a process
+    that only runs the jobs scans each pairing once."""
+    builds, scans = collections.Counter(), []
+
+    def build(pairing, autos, depth):
+        builds[pairing] += 1
+        return _branch_maps(pairing, autos, depth)
+
+    def scan(pairing):
+        scans.append(pairing)
+        return automorphisms(pairing)
+
+    monkeypatch.setattr(search, "_MAPS", {})
+    monkeypatch.setattr(search, "_branch_maps", build)
+    monkeypatch.setattr(search, "automorphisms", scan)
+    pairings = [fp for fp, _ in enumerate_pairings(4)]
+    jobs = [job for depth in (0, 2)
+            for job in split_jobs(SearchConfig(n=4), depth)[0]]
+    for job in jobs:
+        run_job(job)
+    assert sorted(builds) == pairings and sum(builds.values()) == 10
+    assert scans == []
+    monkeypatch.setattr(search, "_MAPS", {})
+    for job in jobs:
+        run_job(job)
+    assert sorted(scans) == pairings and sum(builds.values()) == 20
 
 
 def test_summary_and_stats_formats():
@@ -448,6 +493,11 @@ def test_job_line_rejects_tampering():
         parse_job("x " + line)
     with pytest.raises(ValueError, match="job index -1 is negative"):
         parse_job(line.replace(" index=0 ", " index=-1 "))
+    # a repeated key is refused, not read as its last value
+    with pytest.raises(ValueError, match="job line repeats index="):
+        parse_job(line.replace(" index=0 ", " index=0 index=1 "))
+    with pytest.raises(ValueError, match="job line repeats mode="):
+        parse_job(line.replace(" mode=all ", " mode=all mode=orientable "))
     # the previous format carried a force_level0= key
     with pytest.raises(ValueError, match="unknown key 'force_level0'"):
         parse_job(line.replace(" index=", " force_level0=0 index="))
