@@ -62,9 +62,9 @@ def search_pairing(n: int, mode: str, level: int, seed: int,
             if signs.union(s1 // 4, s2 // 4, -PERM4_SIGN[pi]) is Outcome.CONFLICT:
                 count["prune_orient"] += 1
                 return None
-        tok = None
+        lmark = None
         if ls is not None:
-            out, tok = ls.glue_faces(s1 // 4, s1 % 4, s2 // 4, s2 % 4, pi)
+            out, lmark = ls.glue_faces(s1 // 4, s1 % 4, s2 // 4, s2 % 4, pi)
             if out is not GlueOutcome.OK:
                 count[_PRUNED_BY[out]] += 1
                 if signs is not None:
@@ -73,15 +73,15 @@ def search_pairing(n: int, mode: str, level: int, seed: int,
         adj[s1], adj[s2] = s2, s1
         gl[s1], gl[s2] = pi, PERM4_INV[pi]
         chosen[k] = pi
-        return smark, tok
+        return smark, lmark
 
     def undo(k: int, applied) -> None:
-        smark, tok = applied
+        smark, lmark = applied
         s1, s2 = pairs[k]
         adj[s1] = adj[s2] = -1
         gl[s1] = gl[s2] = -1
-        if tok is not None:
-            ls.unglue_faces(tok)
+        if lmark is not None:
+            ls.unglue_faces(lmark)
         if smark is not None:
             signs.rollback(smark)
 

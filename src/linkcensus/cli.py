@@ -71,26 +71,33 @@ def _output(path: str | None):
     return open(path, "w")
 
 
-def _emit_result(result: CensusResult, args) -> None:
-    with _output(args.out) as out:
-        for sig in result.signatures():
-            out.write(sig if args.sigs else serialize(decode_signature(sig)))
-            out.write("\n")
-    if args.stats:
-        with open(args.stats, "w") as fh:
-            fh.write(stats_csv(result))
+@contextlib.contextmanager
+def _result_files(args):
+    """Yield the `--out` file and the `--stats` one (or None), both opened
+    before either is written: a bad path fails before any output."""
+    with _output(args.out) as out, (open(args.stats, "w") if args.stats
+                                    else contextlib.nullcontext()) as stats:
+        yield out, stats
+
+
+def _emit_result(result: CensusResult, args, out, stats) -> None:
+    for sig in result.signatures():
+        out.write(sig if args.sigs else serialize(decode_signature(sig)))
+        out.write("\n")
+    if stats is not None:
+        stats.write(stats_csv(result))
     print(summary_line(result))
 
 
-def _cmd_census(args) -> int:
-    jobs, partial = split_jobs(_config(args), args.depth)
-    if args.threads > 1:
+def _run_census(config: SearchConfig, depth: int, threads: int) -> CensusResult:
+    jobs, partial = split_jobs(config, depth)
+    if threads > 1:
         # imported here: loading multiprocessing slows every other command
         from concurrent.futures import ProcessPoolExecutor
 
         # workers leave Ctrl-C to the parent, which cancels the queued
         # jobs; they start with it blocked, so none dies of one in between
-        pool = ProcessPoolExecutor(max_workers=args.threads,
+        pool = ProcessPoolExecutor(max_workers=threads,
                                    initializer=signal.signal,
                                    initargs=(signal.SIGINT, signal.SIG_IGN))
         try:
@@ -104,7 +111,15 @@ def _cmd_census(args) -> int:
             pool.shutdown(cancel_futures=True)
     else:
         results = [run_job(job) for job in jobs]
-    _emit_result(merge([partial, *results], jobs), args)
+    return merge([partial, *results], jobs)
+
+
+def _cmd_census(args) -> int:
+    config = _config(args)
+    # opened before the search: a bad path must not cost a whole census
+    with _result_files(args) as (out, stats):
+        _emit_result(_run_census(config, args.depth, args.threads),
+                     args, out, stats)
     return 0
 
 
@@ -167,7 +182,9 @@ def _cmd_merge(args) -> int:
                 line = line.strip()
                 if line:
                     results.append(result_from_dict(json.loads(line)))
-    _emit_result(merge(results, jobs), args)
+    result = merge(results, jobs)
+    with _result_files(args) as (out, stats):
+        _emit_result(result, args, out, stats)
     return 0
 
 

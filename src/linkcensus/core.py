@@ -14,6 +14,11 @@ where each token is `-` (unglued) or `T:P` with T the destination
 tetrahedron and P the Perm4 index.  `serialize_human` renders the same
 data in the letter/digit-triple style used for worked examples
 (`C:013` means "to tetrahedron C, sorted face vertices land on 0,1,3").
+
+The readers of the three text forms (`parse_table`, `from_human_rows`,
+`decode_signature`) only tokenize: each turns its text into two ints per
+slot, partner tetrahedron and Perm4 index, and `_table` alone checks that
+every gluing is in range and glues back.
 """
 
 from __future__ import annotations
@@ -113,19 +118,32 @@ class Triangulation:
         self.adj[s] = self.adj[d] = -1
         self.perm[s] = self.perm[d] = -1
 
-    def audit(self) -> None:
-        """Check the involution invariants; raises AssertionError on corruption."""
-        for s in range(4 * self.n):
-            d = self.adj[s]
-            if d == -1:
-                assert self.perm[s] == -1, f"slot {s} has perm but no partner"
-                continue
-            assert 0 <= d < 4 * self.n and d != s, f"slot {s} partner out of range"
-            assert self.adj[d] == s, f"slots {s},{d} not mutually glued"
-            assert self.perm[d] == PERM4_INV[self.perm[s]], (
-                f"slots {s},{d} perms not inverse"
-            )
-            assert _PARTNER_FACE[s % 4][self.perm[s]] == d % 4
+
+def _table(n: int, digits: list[int]) -> Triangulation:
+    """The table read from text: slot s glued to tetrahedron digits[2s] by
+    the Perm4 index digits[2s + 1], or unglued where both are -1.
+
+    The one consistency check of every reader: each glued slot's partner
+    is in range, is another slot, and glues back to it by the inverse
+    permutation.  Anything else raises ParseError.
+    """
+    tri = Triangulation(n)
+    adj, perm = tri.adj, tri.perm
+    for s in range(4 * n):
+        dt, pi = digits[2 * s], digits[2 * s + 1]
+        if dt == -1:
+            continue
+        if dt >= n or pi >= 24:
+            raise ParseError(f"slot {s // 4}:{s % 4}: gluing {dt}:{pi} out of range")
+        d = 4 * dt + _PARTNER_FACE[s % 4][pi]
+        if d == s:
+            raise ParseError(f"slot {s // 4}:{s % 4}: glued to itself")
+        if digits[2 * d] != s // 4 or digits[2 * d + 1] != PERM4_INV[pi]:
+            raise ParseError(f"slot {s // 4}:{s % 4}: partner {dt}:{d % 4} "
+                             "does not glue back")
+        adj[s] = d
+        perm[s] = pi
+    return tri
 
 
 def serialize(tri: Triangulation) -> str:
@@ -147,43 +165,20 @@ def parse_table(text: str) -> Triangulation:
         raise ParseError("tetrahedron count must be positive")
     if len(parts) != n + 1:
         raise ParseError(f"expected {n} tetrahedron groups, found {len(parts) - 1}")
-    tri = Triangulation(n)
-    seen: dict[int, tuple[int, int]] = {}
+    digits: list[int] = []
     for t in range(n):
         toks = parts[t + 1].split()
         if len(toks) != 4:
             raise ParseError(f"tetrahedron {t}: expected 4 tokens, found {len(toks)}")
         for f, tok in enumerate(toks):
             if tok == "-":
+                digits += (-1, -1)
                 continue
             m = _TOKEN_RE.match(tok)
             if not m:
                 raise ParseError(f"slot {t}:{f}: bad token {tok!r}")
-            dt, pi = int(m.group(1)), int(m.group(2))
-            if dt >= n:
-                raise ParseError(f"slot {t}:{f}: destination tetrahedron {dt} out of range")
-            if pi >= 24:
-                raise ParseError(f"slot {t}:{f}: permutation index {pi} out of range")
-            seen[4 * t + f] = (dt, pi)
-    done = set()
-    for s, (dt, pi) in seen.items():
-        if s in done:
-            continue
-        df = _PARTNER_FACE[s % 4][pi]
-        d = 4 * dt + df
-        if d == s:
-            raise ParseError(f"slot {s // 4}:{s % 4}: glued to itself")
-        if d in done:
-            raise ParseError(f"slot {dt}:{df}: glued more than once")
-        back = seen.get(d)
-        if back is None:
-            raise ParseError(f"slot {dt}:{df}: missing reverse gluing for {s // 4}:{s % 4}")
-        if back != (s // 4, PERM4_INV[pi]):
-            raise ParseError(f"slot {dt}:{df}: reverse gluing inconsistent")
-        tri.glue(s, d, pi)
-        done.add(s)
-        done.add(d)
-    return tri
+            digits += (int(m.group(1)), int(m.group(2)))
+    return _table(n, digits)
 
 
 _TET_NAMES = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -215,16 +210,18 @@ def from_human_rows(rows: list[list[str]]) -> Triangulation:
     """Build a triangulation from `C:013`-style cells, one 4-cell row per tet.
 
     The digit triple lists, in order, where the sorted vertices of the row's
-    face land in the destination tetrahedron.
+    face land in the destination tetrahedron.  Both cells of every gluing
+    are given, and `_table` checks that they agree.
     """
     n = len(rows)
-    tri = Triangulation(n)
+    digits: list[int] = []
     for t, row in enumerate(rows):
         if len(row) != 4:
             raise ParseError(f"row {t}: expected 4 cells")
         for f, cell in enumerate(row):
             cell = cell.strip()
             if cell == "-":
+                digits += (-1, -1)
                 continue
             m = _CELL_RE.match(cell)
             if not m:
@@ -235,16 +232,8 @@ def from_human_rows(rows: list[list[str]]) -> Triangulation:
             dst_face = FACE_OF_VERTICES.get(tuple(sorted(images)))
             if dst_face is None:
                 raise ParseError(f"row {t} face {f}: bad cell {cell!r}")
-            s, d = 4 * t + f, 4 * dt + dst_face
-            pi = extend_face_perm(f, dst_face, images)
-            if tri.adj[s] != -1:
-                # reverse of an earlier cell; just check consistency
-                if tri.adj[s] != d or tri.perm[s] != pi:
-                    raise ParseError(f"row {t} face {f}: inconsistent with earlier cell")
-                continue
-            tri.glue(s, d, pi)
-    tri.audit()
-    return tri
+            digits += (dt, extend_face_perm(f, dst_face, images))
+    return _table(n, digits)
 
 
 class UnionFind:
@@ -455,8 +444,8 @@ _DIGIT_VALUE = {c: v for v, c in enumerate(_DIGITS)}
 def decode_signature(sig: str) -> Triangulation:
     """Rebuild the canonical triangulation an iso_signature encodes.
 
-    Every slot's digits are checked against its partner's, which must
-    read back as the reverse gluing; anything else raises ParseError.
+    The digits are the table `_table` reads, so an inconsistent one
+    raises ParseError.
     """
     head, _, body = sig.partition(";")
     if not (head.isascii() and head.isdigit()) or int(head) < 1:
@@ -468,18 +457,4 @@ def decode_signature(sig: str) -> Triangulation:
         digits = [_DIGIT_VALUE[c] for c in body]
     except KeyError as e:
         raise ParseError(f"bad signature digit {e.args[0]!r}") from None
-    tri = Triangulation(n)
-    adj, perm = tri.adj, tri.perm
-    for s in range(4 * n):
-        dt, pi = digits[2 * s], digits[2 * s + 1]
-        if dt >= n or pi >= 24:
-            raise ParseError(f"slot {s // 4}:{s % 4}: gluing {dt}:{pi} out of range")
-        d = 4 * dt + _PARTNER_FACE[s % 4][pi]
-        if d == s:
-            raise ParseError(f"slot {s // 4}:{s % 4}: glued to itself")
-        if digits[2 * d] != s // 4 or digits[2 * d + 1] != PERM4_INV[pi]:
-            raise ParseError(f"slot {s // 4}:{s % 4}: partner {dt}:{d % 4} "
-                             "does not glue back")
-        adj[s] = d
-        perm[s] = pi
-    return tri
+    return _table(n, digits)

@@ -15,8 +15,8 @@ orderly (McKay, "Isomorph-free exhaustive generation", 1998): with s the
 lowest unpaired slot, the prefix fp[:s] is final, so a subtree is dropped
 as soon as some relabelling makes that prefix smaller, or once every slot
 of the tetrahedra reached so far is paired before all n have appeared (no
-completion is connected).  Completed matchings still pass `is_connected`
-and the same canonicity test.
+completion is connected).  A matching that survives to completion is
+therefore connected, and it passes the same canonicity test.
 
 One relabelling scan, `_advance`, serves every test.  It is resumable:
 each node of the enumeration hands its children the relabellings still
@@ -239,10 +239,9 @@ def enumerate_pairings(n: int) -> Iterator[tuple[Pairing, list[Relabelling]]]:
             s += 1
         if s == total:
             done = tuple(fp)
-            if is_connected(done):
-                ties = _advance(done, total, branches)
-                if ties is not None:
-                    found.append((done, _moved(ties, n)))
+            ties = _advance(done, total, branches)
+            if ties is not None:
+                found.append((done, _moved(ties, n)))
             return
         # the reached tetrahedra are closed off, or fp[:s] is not minimal
         if s == 4 * reached:

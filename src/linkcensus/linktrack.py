@@ -19,9 +19,10 @@ would add genus to that piece, and a punctured sphere can never shed
 genus, so such gluings are rejected; splits and cross-piece merges keep
 every piece a punctured sphere.
 
-All updates are journaled.  Gluing operations hand back integer tokens
-and the matching unglue calls consume them strictly last-in first-out,
-restoring the previous state exactly.
+All updates are journaled.  A gluing hands back the journal mark it took
+beforehand, and ungluing to that mark rolls every later gluing back,
+restoring the earlier state exactly: the mark-and-rollback idiom of
+`SignedDsu` and `CyclicSkipList`.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ class LinkState:
 
     `level` 1 maintains the two class structures only; level 2 adds the
     boundary cycle tracking.  Rejected gluings leave the state untouched;
-    accepted ones return a token for the matching unglue call.
+    accepted ones return the mark that the matching unglue call restores.
     """
 
     def __init__(self, n: int, level: int = 2, seed: int = 0):
@@ -71,8 +72,6 @@ class LinkState:
         self.cycles = None
         self.boundary_edges = 12 * n
         self.cycle_count = 4 * n
-        self._tokens: list[tuple] = []  # (token id, marks...)
-        self._next_token = 0
         if level >= 2:
             self.cycles = CyclicSkipList(12 * n, seed=seed)
             for t in range(n):
@@ -82,12 +81,6 @@ class LinkState:
                     self.cycles.make_cycle([(e0, 1), (e2, 1), (e1, 0)])
 
     # -- queries ------------------------------------------------------------
-
-    def edge_class_count(self) -> int:
-        return self.edge_cls.components
-
-    def link_piece_count(self) -> int:
-        return self.tri_cls.components
 
     def closed_complex_is_manifold(self) -> bool:
         """For a complete gluing: every vertex link is a 2-sphere.
@@ -120,18 +113,6 @@ class LinkState:
         self.boundary_edges = b
         self.cycle_count = cc
 
-    def _issue(self, mark) -> int:
-        token = self._next_token
-        self._next_token += 1
-        self._tokens.append((token, mark))
-        return token
-
-    def _redeem(self, token: int) -> tuple:
-        if not self._tokens or self._tokens[-1][0] != token:
-            raise RuntimeError("unglue out of order: token is not the most recent")
-        self._next_token = token
-        return self._tokens.pop()[1]
-
     def _link_glue(self, t1: int, v1: int, f1: int, t2: int, v2: int, f2: int,
                    dirsign: int) -> GlueOutcome:
         """One link-edge gluing; assumes a caller-held mark covers rollback."""
@@ -151,13 +132,14 @@ class LinkState:
         return GlueOutcome.OK
 
     def glue_faces(self, t1: int, f1: int, t2: int, f2: int,
-                   perm: int) -> tuple[GlueOutcome, int | None]:
+                   perm: int) -> tuple[GlueOutcome, tuple | None]:
         """Apply the face gluing (t1, f1) -> (t2, f2) by Perm4 index `perm`.
 
         The permutation must carry face f1 onto face f2; gluing tables are
         built that way.  Checks run cheapest first: the three tetrahedron
         edge identifications, then per vertex the orientation and cycle
-        steps.  Any failure rolls the whole call back.
+        steps.  Any failure rolls the whole call back; success returns
+        the mark taken before the call.
         """
         images = PERM4_IMAGES[perm]
         mark = self._mark()
@@ -182,16 +164,9 @@ class LinkState:
                 self._restore(mark)
                 return out, None
 
-        return GlueOutcome.OK, self._issue(mark)
+        return GlueOutcome.OK, mark
 
-    def unglue_faces(self, token: int) -> None:
-        """Exact LIFO inverse of glue_faces."""
-        self._restore(self._redeem(token))
-
-    # -- diagnostics ---------------------------------------------------------
-
-    def boundary_cycles(self) -> list[list[tuple[int, int]]]:
-        """Current boundary cycles as (link edge, entered side) walks."""
-        if self.cycles is None:
-            raise RuntimeError("cycle tracking disabled at this level")
-        return self.cycles.cycles()
+    def unglue_faces(self, mark: tuple) -> None:
+        """Restore the state at `mark`, as glue_faces returned it: that
+        gluing and every later one are undone."""
+        self._restore(mark)

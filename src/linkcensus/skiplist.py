@@ -189,9 +189,9 @@ class CyclicSkipList:
             plugs.append(((node, gap_side), far))
             level += 1
 
-    def insert(self, x: int, w: int, ws: int, facing: int = 0) -> None:
-        """Insert free node x into the gap beyond (w, ws), its side
-        `facing` toward w."""
+    def insert(self, x: int, w: int, ws: int) -> None:
+        """Insert free node x into the gap beyond (w, ws), its side 0
+        toward w."""
         if self._live[x]:
             raise ValueError(f"node {x} is already in a cycle")
         if not self._live[w]:
@@ -200,10 +200,10 @@ class CyclicSkipList:
         for level in range(self._h[x]):
             if level < len(plugs):
                 (n1, s1), (n2, s2) = plugs[level]
-                self._link(n1, s1, x, facing, level)
-                self._link(x, 1 - facing, n2, s2, level)
+                self._link(n1, s1, x, 0, level)
+                self._link(x, 1, n2, s2, level)
             else:
-                self._link(x, facing, x, 1 - facing, level)
+                self._link(x, 0, x, 1, level)
         self._set_live(x, True)
 
     def splice(self, u: int, us: int, v: int, vs: int) -> None:
@@ -274,34 +274,31 @@ class CyclicSkipList:
             return -2
         if selfx:
             self._retire(sx)
-            self._home(sy, r, rs)
+            self.insert(sy, r, rs)
             return -1
         if selfy:
             if not same:
                 self._retire(sy)
-            self._home(sx, p, ps)
+            self.insert(sx, p, ps)
             return -1
         if sealed0 and sealed1:
             self._retire(sx)  # two-node cycle vanished
             return -1
         if sealed0:
-            self._home(sx, q, qs)
+            self.insert(sx, q, qs)
             return 0
         if sealed1:
-            self._home(sx, p, ps)
+            self.insert(sx, p, ps)
             return 0
         self.splice(p, ps, r, rs)
         if same:
-            self._home(sx, p, ps)
+            self.insert(sx, p, ps)
             fresh = self._alloc_sentinel()
             self.insert(fresh, q, qs)
             return 1
-        self._home(sx, p, ps)
+        self.insert(sx, p, ps)
         self._retire(sy)
         return -1
-
-    def _home(self, sentinel: int, w: int, ws: int) -> None:
-        self.insert(sentinel, w, ws)
 
     def _retire(self, sentinel: int) -> None:
         self._sent_pool.append(sentinel)

@@ -1,7 +1,8 @@
 """Naive from-scratch validators used as test oracles and leaf checks.
 
 Everything here is written directly against the gluing table with the
-plain closures of `core` (its union-find and `edge_classes`) and
+plain closures of `core` (its union-find, which also finds the link
+pieces and their boundary cycles, and `edge_classes`) and
 `fpg.is_connected`; none of the incremental machinery (signed union-find,
 cyclic skip lists, link tracking) is used.  The point is independence:
 when the fast path and this module agree on thousands of randomized
@@ -145,39 +146,25 @@ def build_links(tri: Triangulation) -> list[LinkSurfaceReport]:
     for tv in range(4 * n):
         by_root.setdefault(tris.find(tv), []).append(tv)
 
-    # boundary cycles: walk unglued link edges corner to corner
-    ends_at: dict[int, list[tuple[int, int]]] = {}
+    # boundary cycles: the unglued link edges, joined at shared corners
+    ends_at: dict[int, list[int]] = {}
     for t in range(n):
         for v in range(4):
             for f in FACES_AT_VERTEX[v]:
                 e = _link_edge_id(t, v, f)
                 if e in glued:
                     continue
-                a, b = _EDGE_ENDS[(v, f)]
-                for w in (a, b):
+                for w in _EDGE_ENDS[(v, f)]:
                     c = corners.find(_corner_id(t, v, w))
-                    ends_at.setdefault(c, []).append((e, w))
+                    ends_at.setdefault(c, []).append(e)
     assert all(len(v) == 2 for v in ends_at.values()), "pinched boundary corner"
+    boundary_uf = UnionFind(12 * n)
+    for e1, e2 in ends_at.values():
+        boundary_uf.union(e1, e2)
     cycles_of: dict[int, int] = {}  # piece root -> boundary cycle count
-    seen_ends: set[tuple[int, int]] = set()
-    for c, pair in ends_at.items():
-        for start in pair:
-            if start in seen_ends:
-                continue
-            cur = start
-            while cur not in seen_ends:
-                seen_ends.add(cur)
-                e, w = cur
-                t, v = e // 12, (e % 12) // 3
-                f = FACES_AT_VERTEX[v][e % 3]
-                a, b = _EDGE_ENDS[(v, f)]
-                other_end = b if w == a else a
-                seen_ends.add((e, other_end))
-                root = corners.find(_corner_id(t, v, other_end))
-                e1, e2 = ends_at[root]
-                cur = e2 if e1 == (e, other_end) else e1
-            piece = tris.find(4 * (start[0] // 12) + (start[0] % 12) // 3)
-            cycles_of[piece] = cycles_of.get(piece, 0) + 1
+    for e in {boundary_uf.find(e) for ends in ends_at.values() for e in ends}:
+        piece = tris.find(e // 3)  # link edge 12t + 3v + k lies in triangle 4t + v
+        cycles_of[piece] = cycles_of.get(piece, 0) + 1
 
     reports = []
     for root, members in sorted(by_root.items(), key=lambda kv: min(kv[1])):

@@ -344,7 +344,7 @@ def linktrack_verdict(tri: Triangulation, s1: int, s2: int, perm: int):
     return {GlueOutcome.BAD_ORIENT, GlueOutcome.BAD_GENUS}, l1
 
 
-def _linkstate_fingerprint(ls: LinkState):
+def linkstate_fingerprint(ls: LinkState):
     fp = (ls.edge_cls.components, ls.tri_cls.components,
           ls.boundary_edges, ls.cycle_count)
     if ls.cycles is not None:
@@ -442,7 +442,7 @@ def linktrack_fuzz_trial(trial: int, ops: int = 60) -> int:
     tri = Triangulation(n)
     l2 = LinkState(n, level=2, seed=trial)
     l1 = LinkState(n, level=1)
-    history = []  # (slot, tokens and fingerprints to restore)
+    history = []  # (slot, marks and fingerprints to restore)
     checks = 0
 
     for _ in range(ops):
@@ -450,12 +450,12 @@ def linktrack_fuzz_trial(trial: int, ops: int = 60) -> int:
         if len(unglued) < 2 or (history and rng.random() < 0.3):
             if not history:
                 break
-            s1, tok2, tok1, fp2, fp1 = history.pop()
+            s1, mark2, mark1, fp2, fp1 = history.pop()
             tri.unglue(s1)
-            l2.unglue_faces(tok2)
-            l1.unglue_faces(tok1)
-            assert _linkstate_fingerprint(l2) == fp2, "unglue must be exact"
-            assert _linkstate_fingerprint(l1) == fp1, "unglue must be exact"
+            l2.unglue_faces(mark2)
+            l1.unglue_faces(mark1)
+            assert linkstate_fingerprint(l2) == fp2, "unglue must be exact"
+            assert linkstate_fingerprint(l1) == fp1, "unglue must be exact"
             checks += 1
             continue
 
@@ -468,38 +468,38 @@ def linktrack_fuzz_trial(trial: int, ops: int = 60) -> int:
         perm = GLUING_PERMS[f1][f2][rng.randrange(6)]
 
         want2, want1 = linktrack_verdict(tri, s1, s2, perm)
-        fp2 = _linkstate_fingerprint(l2)
-        fp1 = _linkstate_fingerprint(l1)
-        got2, tok2 = l2.glue_faces(t1, f1, t2, f2, perm)
-        got1, tok1 = l1.glue_faces(t1, f1, t2, f2, perm)
+        fp2 = linkstate_fingerprint(l2)
+        fp1 = linkstate_fingerprint(l1)
+        got2, mark2 = l2.glue_faces(t1, f1, t2, f2, perm)
+        got1, mark1 = l1.glue_faces(t1, f1, t2, f2, perm)
         assert got2 in want2, (trial, s1, s2, perm, got2, want2)
         assert got1 in want1, (trial, s1, s2, perm, got1, want1)
         if got2 is GlueOutcome.BAD_GENUS:
             assert got1 in (GlueOutcome.OK, GlueOutcome.BAD_ORIENT)
         else:
             assert got1 is got2
-        assert (tok2 is None) == (got2 is not GlueOutcome.OK)
-        assert (tok1 is None) == (got1 is not GlueOutcome.OK)
+        assert (mark2 is None) == (got2 is not GlueOutcome.OK)
+        assert (mark1 is None) == (got1 is not GlueOutcome.OK)
         checks += 1
 
         if got2 is not GlueOutcome.OK:
-            assert _linkstate_fingerprint(l2) == fp2, "reject must not mutate"
+            assert linkstate_fingerprint(l2) == fp2, "reject must not mutate"
             if got1 is GlueOutcome.OK:
-                l1.unglue_faces(tok1)
+                l1.unglue_faces(mark1)
             else:
-                assert _linkstate_fingerprint(l1) == fp1
+                assert linkstate_fingerprint(l1) == fp1
             continue
         assert got1 is GlueOutcome.OK
         tri.glue(s1, s2, perm)
-        history.append((s1, tok2, tok1, fp2, fp1))
+        history.append((s1, mark2, mark1, fp2, fp1))
 
         reports = build_links(tri)
         glued = sum(1 for s in tri.adj if s != -1)
         assert l2.boundary_edges == 3 * (4 * n - glued)
         assert l1.boundary_edges == 3 * (4 * n - glued)
         assert l2.cycle_count == sum(r.boundary_cycles for r in reports)
-        assert l2.link_piece_count() == len(reports)
-        assert l1.link_piece_count() == len(reports)
+        assert l2.tri_cls.components == len(reports)
+        assert l1.tri_cls.components == len(reports)
         checks += 1
         if all(s != -1 for s in tri.adj):
             assert l2.closed_complex_is_manifold() == is_3manifold(tri)

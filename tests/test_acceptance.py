@@ -112,7 +112,7 @@ def test_criterion_01b_cli_command_agrees(tmp_path, capsys):
 
 
 @pytest.mark.skipif(os.environ.get("LINKCENSUS_NIGHTLY") != "1",
-                    reason="size-7 census takes ~15 minutes; set LINKCENSUS_NIGHTLY=1")
+                    reason="size-7 census takes ~3 minutes; set LINKCENSUS_NIGHTLY=1")
 def test_criterion_02_nightly_size_7():
     require_fast_engine()
     result, wall = timed_census(7)

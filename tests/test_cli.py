@@ -92,6 +92,28 @@ def test_census_split_paths_match(tmp_path, capsys, extra):
     assert stats_path.read_text() == stats_csv(census(3))
 
 
+def test_bad_output_path_fails_before_any_output(tmp_path, capsys, monkeypatch):
+    bad = str(tmp_path / "missing" / "x.txt")
+
+    def no_search(*args):
+        raise AssertionError("searched before opening --out")
+
+    monkeypatch.setattr("linkcensus.cli.split_jobs", no_search)
+    rc, out, err = run_cli(capsys, "census", "--size", "3", "--out", bad)
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: [Errno 2] No such file or directory")
+    monkeypatch.undo()
+    # a bad --stats path must not let --out receive the signatures first
+    ok = tmp_path / "ok.sigs"
+    jobs, _, full = _n3_split(tmp_path, capsys)
+    for argv in (["census", "--size", "3"], ["merge", full, "--jobs", jobs]):
+        rc, out, err = run_cli(capsys, *argv, "--sigs", "--out", str(ok),
+                               "--stats", bad)
+        assert (rc, out) == (1, ""), argv
+        assert err.startswith("error: [Errno 2] No such file or directory")
+        assert ok.read_text() == "", argv
+
+
 def test_jobs_run_job_merge_pipeline(tmp_path, capsys):
     jobs_path = tmp_path / "jobs.txt"
     rc, _, _ = run_cli(capsys, "jobs", "--size", "2", "--depth", "2",

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from linkcensus.linktrack import GlueOutcome, LinkState, link_edge_id
 from linkcensus.perms import GLUING_PERMS, LINK_EDGE_POS
-from oracles import linktrack_fuzz_trial
+from oracles import linkstate_fingerprint, linktrack_fuzz_trial
 
 
 def test_link_edge_id_layout():
@@ -22,22 +22,22 @@ def test_link_edge_id_layout():
 
 def test_fresh_state_counts():
     ls = LinkState(3, level=2, seed=0)
-    assert ls.edge_class_count() == 18
-    assert ls.link_piece_count() == 12
+    assert ls.edge_cls.components == 18
+    assert ls.tri_cls.components == 12
     assert ls.boundary_edges == 36
     assert ls.cycle_count == 12
-    assert len(ls.boundary_cycles()) == 12
+    assert len(ls.cycles.cycles()) == 12
     # each corner triangle starts as its own 3-cycle
-    assert all(len(walk) == 3 for walk in ls.boundary_cycles())
+    assert all(len(walk) == 3 for walk in ls.cycles.cycles())
 
 
 def test_level_1_skips_cycle_tracking():
     ls = LinkState(2, level=1)
     assert ls.cycles is None
-    out, tok = ls.glue_faces(0, 0, 1, 0, GLUING_PERMS[0][0][0])
-    assert out is GlueOutcome.OK and tok is not None
+    out, mark = ls.glue_faces(0, 0, 1, 0, GLUING_PERMS[0][0][0])
+    assert out is GlueOutcome.OK and mark is not None
     assert ls.boundary_edges == 18
-    ls.unglue_faces(tok)
+    ls.unglue_faces(mark)
     assert ls.boundary_edges == 24
 
 
@@ -53,8 +53,8 @@ def test_rejected_glue_leaves_state_untouched():
     ls = LinkState(1, level=2, seed=1)
     before = (ls.edge_cls.components, ls.boundary_edges, ls.cycle_count,
               ls.cycles.structure_dump())
-    out, tok = ls.glue_faces(0, 0, 0, 1, GLUING_PERMS[0][1][2])
-    assert tok is None
+    out, mark = ls.glue_faces(0, 0, 0, 1, GLUING_PERMS[0][1][2])
+    assert mark is None
     assert out is GlueOutcome.BAD_EDGE
     after = (ls.edge_cls.components, ls.boundary_edges, ls.cycle_count,
              ls.cycles.structure_dump())
@@ -62,17 +62,18 @@ def test_rejected_glue_leaves_state_untouched():
 
 
 def test_token_discipline():
+    """The mark a gluing returns is the token that undoes it, and every
+    gluing after it: ungluing the first of two marks restores the fresh
+    state."""
     ls = LinkState(2, level=2, seed=7)
-    out1, tok1 = ls.glue_faces(0, 0, 1, 0, GLUING_PERMS[0][0][0])
+    fresh = linkstate_fingerprint(ls)
+    out1, mark1 = ls.glue_faces(0, 0, 1, 0, GLUING_PERMS[0][0][0])
     assert out1 is GlueOutcome.OK
-    out2, tok2 = ls.glue_faces(0, 1, 1, 1, GLUING_PERMS[1][1][0])
-    assert out2 is GlueOutcome.OK
-    with pytest.raises(RuntimeError):
-        ls.unglue_faces(tok1)  # out of order
-    ls.unglue_faces(tok2)
-    ls.unglue_faces(tok1)
-    with pytest.raises(RuntimeError):
-        ls.unglue_faces(tok1)  # single use
+    out2, mark2 = ls.glue_faces(0, 1, 1, 1, GLUING_PERMS[1][1][0])
+    assert out2 is GlueOutcome.OK and mark2 != mark1
+    # the first mark undoes both gluings at once
+    ls.unglue_faces(mark1)
+    assert linkstate_fingerprint(ls) == fresh
 
 
 def test_fuzz_against_link_builder():
