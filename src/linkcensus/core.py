@@ -19,6 +19,12 @@ The readers of the three text forms (`parse_table`, `from_human_rows`,
 `decode_signature`) only tokenize: each turns its text into two ints per
 slot, partner tetrahedron and Perm4 index, and `_table` alone checks that
 every gluing is in range and glues back.
+
+The invariants are closures of one plain `UnionFind`.  `vertex_classes`
+uses it directly; every sign question goes through `sign_classes`, which
+joins two copies of each element, one per sign.  That one signed closure
+answers edge direction (`edge_classes`), tetrahedron orientability
+(`is_orientable`) and, in `validate`, link orientability.
 """
 
 from __future__ import annotations
@@ -256,14 +262,17 @@ class UnionFind:
         return True
 
 
+def _gluings(tri: Triangulation):
+    """Yield each gluing once, as (slot, partner slot, vertex images)."""
+    for s, d in enumerate(tri.adj):
+        if d > s:
+            yield s, d, PERM4_IMAGES[tri.perm[s]]
+
+
 def vertex_classes(tri: Triangulation) -> list[list[tuple[int, int]]]:
     """Identification classes of the 4n tetrahedron vertices, sorted."""
     uf = UnionFind(4 * tri.n)
-    for s in range(4 * tri.n):
-        d = tri.adj[s]
-        if d == -1 or d < s:
-            continue
-        images = PERM4_IMAGES[tri.perm[s]]
+    for s, d, images in _gluings(tri):
         for v in FACE_VERTICES[s % 4]:
             uf.union(4 * (s // 4) + v, 4 * (d // 4) + images[v])
     groups: dict[int, list[tuple[int, int]]] = {}
@@ -272,80 +281,76 @@ def vertex_classes(tri: Triangulation) -> list[list[tuple[int, int]]]:
     return sorted(sorted(g) for g in groups.values())
 
 
+def sign_classes(count: int, relations) -> list[tuple[int, int]]:
+    """Class keys of `count` elements joined by signed relations.
+
+    A relation (x, y, sign) says that y carries x's sign times `sign`
+    (+1 or -1).  Element x has two copies, 2x for sign +1 and 2x + 1 for
+    sign -1, and each relation joins the copies it carries onto each
+    other.  The key of x is its sorted pair of roots {find(2x),
+    find(2x + 1)}: elements share a key exactly when relations join them,
+    and the two roots differ exactly when the class has a consistent
+    sign, that is when no chain of relations carries an element onto
+    itself with sign -1.
+    """
+    uf = UnionFind(2 * count)
+    for x, y, sign in relations:
+        y2 = 2 * y + (sign < 0)
+        uf.union(2 * x, y2)
+        uf.union(2 * x + 1, y2 ^ 1)
+    keys = []
+    for x in range(count):
+        r0, r1 = uf.find(2 * x), uf.find(2 * x + 1)
+        keys.append((min(r0, r1), max(r0, r1)))
+    return keys
+
+
 def edge_classes(tri: Triangulation) -> list[tuple[list[tuple[int, int]], bool]]:
     """Identification classes of the 6n tetrahedron edges, sorted.
 
-    Edge i = 6t + e has two directed slots: 2i runs from its lower vertex
-    to its higher one, 2i + 1 back.  Each gluing joins the directed slots
-    it carries onto each other, so the class of edge i is the pair of
-    roots {find(2i), find(2i + 1)}.  Each class comes with a flag: True
-    when it is directable (the two roots differ, so a consistent direction
-    can be chosen along the whole class), False when some identification
-    chain maps an edge onto itself reversed.
+    The sign of edge 6t + e is its direction, +1 from its lower vertex to
+    its higher one, and a gluing relates the edges it carries onto each
+    other by +1 when it keeps that direction.  Each class comes with a
+    flag from `sign_classes`: True when it is directable (a consistent
+    direction can be chosen along the whole class), False when some
+    identification chain maps an edge onto itself reversed.
     """
-    n6 = 6 * tri.n
-    uf = UnionFind(2 * n6)
-    for s in range(4 * tri.n):
-        d = tri.adj[s]
-        if d == -1 or d < s:
-            continue
-        images = PERM4_IMAGES[tri.perm[s]]
-        t1, t2 = s // 4, d // 4
+    relations = []
+    for s, d, images in _gluings(tri):
         for e in FACE_EDGES[s % 4]:
             a, b = EDGE_PAIRS[e]
             ia, ib = images[a], images[b]
-            x = 2 * (6 * t1 + e)
-            y = 2 * (6 * t2 + EDGE_INDEX[(min(ia, ib), max(ia, ib))]) + (ia > ib)
-            uf.union(x, y)
-            uf.union(x + 1, y ^ 1)
+            relations.append((6 * (s // 4) + e,
+                              6 * (d // 4) + EDGE_INDEX[(min(ia, ib), max(ia, ib))],
+                              -1 if ia > ib else 1))
     groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for i in range(n6):
-        r0, r1 = uf.find(2 * i), uf.find(2 * i + 1)
-        groups.setdefault((min(r0, r1), max(r0, r1)), []).append((i // 6, i % 6))
+    for i, key in enumerate(sign_classes(6 * tri.n, relations)):
+        groups.setdefault(key, []).append((i // 6, i % 6))
     return sorted(((g, r0 != r1) for (r0, r1), g in groups.items()),
                   key=lambda item: item[0])
-
-
-def is_connected(tri: Triangulation) -> bool:
-    return fpg.is_connected(tri.adj)
 
 
 def is_orientable(tri: Triangulation) -> bool:
     """Whether consistent tetrahedron signs exist.
 
     Convention: a gluing with odd permutation keeps the sign, an even one
-    flips it.  Complete and connected triangulations only.
+    flips it.  Complete and connected triangulations only, so the answer
+    is the sign of tetrahedron 0's class in `sign_classes`.
     """
     if not tri.is_complete():
         raise ValueError("orientability needs a complete triangulation")
-    if not is_connected(tri):
+    if not fpg.is_connected(tri.adj):
         raise ValueError("orientability needs a connected triangulation")
-    sign = [0] * tri.n
-    sign[0] = 1
-    stack = [0]
-    while stack:
-        t = stack.pop()
-        for f in range(4):
-            s = 4 * t + f
-            d = tri.adj[s]
-            want = sign[t] * (1 if PERM4_SIGN[tri.perm[s]] == -1 else -1)
-            u = d // 4
-            if sign[u] == 0:
-                sign[u] = want
-                stack.append(u)
-            elif sign[u] != want:
-                return False
-    return True
+    r0, r1 = sign_classes(tri.n, [(s // 4, d // 4, -PERM4_SIGN[tri.perm[s]])
+                                  for s, d, _ in _gluings(tri)])[0]
+    return r0 != r1
 
 
 def relabel(tri: Triangulation, tet_map: list[int], vertex_maps: list[int]) -> Triangulation:
     """Rebuild with tetrahedron t renamed tet_map[t] and its vertices permuted
     by the Perm4 index vertex_maps[t]."""
     out = Triangulation(tri.n)
-    for s in range(4 * tri.n):
-        d = tri.adj[s]
-        if d == -1 or d < s:
-            continue
+    for s, d, _ in _gluings(tri):
         t1, f1 = s // 4, s % 4
         t2, f2 = d // 4, d % 4
         r1, r2 = vertex_maps[t1], vertex_maps[t2]
@@ -430,7 +435,7 @@ def iso_signature(tri: Triangulation) -> str:
     """
     if not tri.is_complete():
         raise ValueError("signature needs a complete triangulation")
-    if not is_connected(tri):
+    if not fpg.is_connected(tri.adj):
         raise ValueError("signature needs a connected triangulation")
     if tri.n >= 36:
         raise ValueError("signature digits cover at most 35 tetrahedra")

@@ -221,7 +221,8 @@ def enumerate_pairings(n: int) -> Iterator[tuple[Pairing, list[Relabelling]]]:
 
     Depth-first order is ascending: the first slot in which two matchings
     differ is paired at the same node of the search in both, and that
-    node tries partners in increasing order.  Each node hands its
+    node tries partners in increasing order, so each pairing is yielded
+    as soon as the search completes it.  Each node hands its
     children the relabelling scan's suspended branches, and the tied
     branches of a completed matching are its automorphisms.
     """
@@ -229,9 +230,8 @@ def enumerate_pairings(n: int) -> Iterator[tuple[Pairing, list[Relabelling]]]:
         return
     total = 4 * n
     fp = [-1] * total
-    found: list[tuple[Pairing, list[Relabelling]]] = []
 
-    def extend(s: int, reached: int, branches: list[tuple[int, ...]]) -> None:
+    def extend(s: int, reached: int, branches: list[tuple[int, ...]]):
         """Pair the lowest unpaired slot at or after s; tetrahedra
         0..reached-1 are the ones the matching has reached, and
         `branches` the scan's branches suspended at fp's last node."""
@@ -241,7 +241,7 @@ def enumerate_pairings(n: int) -> Iterator[tuple[Pairing, list[Relabelling]]]:
             done = tuple(fp)
             ties = _advance(done, total, branches)
             if ties is not None:
-                found.append((done, _moved(ties, n)))
+                yield done, _moved(ties, n)
             return
         # the reached tetrahedra are closed off, or fp[:s] is not minimal
         if s == 4 * reached:
@@ -255,11 +255,10 @@ def enumerate_pairings(n: int) -> Iterator[tuple[Pairing, list[Relabelling]]]:
             if c < 0:
                 continue
             fp[s], fp[c] = c, s
-            extend(s + 1, max(reached, u + 1), branches)
+            yield from extend(s + 1, max(reached, u + 1), branches)
             fp[s], fp[c] = -1, -1
 
-    extend(0, 1, _roots(n))
-    yield from found
+    yield from extend(0, 1, _roots(n))
 
 
 def format_pairing(fp: Pairing) -> str:

@@ -36,8 +36,8 @@ from .perms import (
     FACE_EDGES,
     FACE_VERTICES,
     LINK_ALONG,
-    LINK_EDGE_POS,
     PERM4_IMAGES,
+    link_edge_id,
 )
 from .skiplist import CyclicSkipList
 
@@ -47,11 +47,6 @@ class GlueOutcome(Enum):
     BAD_EDGE = "bad-edge"          # an edge glued to itself reversed
     BAD_ORIENT = "bad-orient"      # a link surface loses orientability
     BAD_GENUS = "bad-genus"        # a link surface would gain genus
-
-
-def link_edge_id(t: int, v: int, f: int) -> int:
-    """Skip-list element for the edge of (t, v)'s corner triangle in face f."""
-    return 12 * t + 3 * v + LINK_EDGE_POS[v][f]
 
 
 class LinkState:

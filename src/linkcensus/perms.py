@@ -91,6 +91,11 @@ LINK_EDGE_POS: tuple[dict[int, int], ...] = tuple(
 )
 
 
+def link_edge_id(t: int, v: int, f: int) -> int:
+    """The edge of corner triangle 4t + v in face f, numbered 3(4t + v) + k."""
+    return 12 * t + 3 * v + LINK_EDGE_POS[v][f]
+
+
 def _along(v: int, f: int) -> int:
     # The corner triangle at v is traversed X -> Y -> Z over the corners on
     # the tet edges toward the other three vertices in increasing order; the

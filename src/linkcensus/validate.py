@@ -1,16 +1,18 @@
 """Naive from-scratch validators used as test oracles and leaf checks.
 
 Everything here is written directly against the gluing table with the
-plain closures of `core` (its union-find, which also finds the link
-pieces and their boundary cycles, and `edge_classes`) and
-`fpg.is_connected`; none of the incremental machinery (signed union-find,
-cyclic skip lists, link tracking) is used.  The point is independence:
-when the fast path and this module agree on thousands of randomized
-cases, a shared systematic bug is unlikely.  `check_edges` is derived
-from `edge_classes`, the one directed-edge closure.  Only the numbering
-conventions of `perms` are shared (faces, edges, link edges and their
-arrows): a copy of a convention would agree with it by construction, so
-it adds no check.
+plain closures of `core` and `fpg.is_connected`; none of the incremental
+machinery (signed union-find, cyclic skip lists, link tracking) is used.
+The point is independence: when the fast path and this module agree on
+thousands of randomized cases, a shared systematic bug is unlikely.
+`core.UnionFind` joins the corners of the link triangles and the
+boundary cycles, and one signed closure, `core.sign_classes`, answers
+every sign question: edge direction (`check_edges`, through
+`edge_classes`), tetrahedron orientability (`is_orientable`) and the
+link pieces with their orientability (`build_links`).  Only the
+numbering conventions of `perms` are shared (faces, edges, link edges
+and their arrows): a copy of a convention would agree with it by
+construction, so it adds no check.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .core import (
     is_orientable,
     relabel,
     serialize,
+    sign_classes,
 )
 from .fpg import is_connected
 from .perms import (
@@ -33,6 +36,7 @@ from .perms import (
     GLUING_PERMS,
     LINK_ALONG,
     PERM4_IMAGES,
+    link_edge_id,
 )
 
 # Other two vertices of face f besides v, ascending.
@@ -41,10 +45,6 @@ _EDGE_ENDS = {
     for v in range(4)
     for f in FACES_AT_VERTEX[v]
 }
-
-
-def _link_edge_id(t: int, v: int, f: int) -> int:
-    return 12 * t + 3 * v + FACES_AT_VERTEX[v].index(f)
 
 
 def _corner_id(t: int, v: int, w: int) -> int:
@@ -75,19 +75,6 @@ class LinkSurfaceReport:
         return self.orientable and self.euler + self.boundary_cycles == 2
 
 
-def _link_gluings(tri: Triangulation):
-    """Yield identified link-edge pairs ((t1,v1,f1),(t2,v2,f2), preserves)."""
-    for s in range(4 * tri.n):
-        d = tri.adj[s]
-        if d == -1 or d < s:
-            continue
-        t1, f1 = s // 4, s % 4
-        t2, f2 = d // 4, d % 4
-        images = PERM4_IMAGES[tri.perm[s]]
-        for v in FACE_VERTICES[f1]:
-            yield (t1, v, f1), (t2, images[v], f2), images
-
-
 def build_links(tri: Triangulation) -> list[LinkSurfaceReport]:
     """Build every vertex link from scratch and report its shape.
 
@@ -96,108 +83,64 @@ def build_links(tri: Triangulation) -> list[LinkSurfaceReport]:
     """
     n = tri.n
     corners = UnionFind(12 * n)
-    tris = UnionFind(4 * n)
-    glued: dict[int, tuple[int, int]] = {}  # link edge id -> (other id, rel sign)
+    glued: set[int] = set()  # link edge ids
+    relations = []  # (triangle, triangle, sign) for `sign_classes`
 
-    for (t1, v1, f1), (t2, v2, f2), images in _link_gluings(tri):
-        a, b = _EDGE_ENDS[(v1, f1)]
-        ia, ib = images[a], images[b]
-        corners.union(_corner_id(t1, v1, a), _corner_id(t2, v2, ia))
-        corners.union(_corner_id(t1, v1, b), _corner_id(t2, v2, ib))
-        tris.union(4 * t1 + v1, 4 * t2 + v2)
-        e1 = _link_edge_id(t1, v1, f1)
-        e2 = _link_edge_id(t2, v2, f2)
-        # The arrow of a link edge runs from the lower other-vertex to the
-        # higher; the gluing preserves arrows iff the images stay ordered.
-        dirsign = 1 if ia < ib else -1
-        rel = -LINK_ALONG[v1][f1] * LINK_ALONG[v2][f2] * dirsign
-        glued[e1] = (e2, rel)
-        glued[e2] = (e1, rel)
-
-    # orientation flags per link triangle via BFS over glued edges
-    orient = [0] * (4 * n)
-    comp_orientable: dict[int, bool] = {}
-    for start in range(4 * n):
-        if orient[start] != 0:
+    for s, d in enumerate(tri.adj):
+        if d < s:  # unglued, or met from its other slot
             continue
-        orient[start] = 1
-        stack = [start]
-        ok = True
-        while stack:
-            tv = stack.pop()
-            t, v = tv // 4, tv % 4
-            for f in FACES_AT_VERTEX[v]:
-                pair = glued.get(_link_edge_id(t, v, f))
-                if pair is None:
-                    continue
-                other, rel = pair
-                ot = other // 12
-                ov = (other % 12) // 3
-                want = orient[4 * t + v] * rel
-                cur = orient[4 * ot + ov]
-                if cur == 0:
-                    orient[4 * ot + ov] = want
-                    stack.append(4 * ot + ov)
-                elif cur != want:
-                    ok = False
-        comp_orientable[tris.find(start)] = ok
-
-    by_root: dict[int, list[int]] = {}
-    for tv in range(4 * n):
-        by_root.setdefault(tris.find(tv), []).append(tv)
+        t1, f1, t2, f2 = s // 4, s % 4, d // 4, d % 4
+        images = PERM4_IMAGES[tri.perm[s]]
+        # each glued face pair identifies three link edges, one per vertex
+        for v1 in FACE_VERTICES[f1]:
+            v2 = images[v1]
+            a, b = _EDGE_ENDS[(v1, f1)]
+            ia, ib = images[a], images[b]
+            corners.union(_corner_id(t1, v1, a), _corner_id(t2, v2, ia))
+            corners.union(_corner_id(t1, v1, b), _corner_id(t2, v2, ib))
+            glued.update((link_edge_id(t1, v1, f1), link_edge_id(t2, v2, f2)))
+            # A link edge's arrow runs from its lower other-vertex to the
+            # higher; the gluing keeps arrows iff the images stay ordered.
+            dirsign = 1 if ia < ib else -1
+            relations.append((4 * t1 + v1, 4 * t2 + v2,
+                              -LINK_ALONG[v1][f1] * LINK_ALONG[v2][f2] * dirsign))
 
     # boundary cycles: the unglued link edges, joined at shared corners
     ends_at: dict[int, list[int]] = {}
-    for t in range(n):
-        for v in range(4):
-            for f in FACES_AT_VERTEX[v]:
-                e = _link_edge_id(t, v, f)
-                if e in glued:
-                    continue
-                for w in _EDGE_ENDS[(v, f)]:
-                    c = corners.find(_corner_id(t, v, w))
-                    ends_at.setdefault(c, []).append(e)
+    for e in range(12 * n):
+        if e not in glued:
+            t, v, k = e // 12, e % 12 // 3, e % 3
+            for w in _EDGE_ENDS[(v, FACES_AT_VERTEX[v][k])]:
+                ends_at.setdefault(corners.find(_corner_id(t, v, w)), []).append(e)
     assert all(len(v) == 2 for v in ends_at.values()), "pinched boundary corner"
     boundary_uf = UnionFind(12 * n)
     for e1, e2 in ends_at.values():
         boundary_uf.union(e1, e2)
-    cycles_of: dict[int, int] = {}  # piece root -> boundary cycle count
-    for e in {boundary_uf.find(e) for ends in ends_at.values() for e in ends}:
-        piece = tris.find(e // 3)  # link edge 12t + 3v + k lies in triangle 4t + v
-        cycles_of[piece] = cycles_of.get(piece, 0) + 1
 
+    # link pieces and their orientability: one key per triangle 4t + v,
+    # which holds link edges 3(4t + v) + k and corners with the same ids
+    members: dict[tuple[int, int], list[int]] = {}
+    for tv, key in enumerate(sign_classes(4 * n, relations)):
+        members.setdefault(key, []).append(tv)
     reports = []
-    for root, members in sorted(by_root.items(), key=lambda kv: min(kv[1])):
-        f_count = len(members)
-        edge_ids = [
-            _link_edge_id(tv // 4, tv % 4, f)
-            for tv in members
-            for f in FACES_AT_VERTEX[tv % 4]
-        ]
-        boundary = sum(1 for e in edge_ids if e not in glued)
-        interior_pairs = (len(edge_ids) - boundary) // 2
-        e_count = boundary + interior_pairs
-        corner_roots = {
-            corners.find(_corner_id(tv // 4, tv % 4, w))
-            for tv in members
-            for w in range(4)
-            if w != tv % 4
-        }
-        v_count = len(corner_roots)
-        euler = v_count - e_count + f_count
-        closed = boundary == 0
-        orientable = comp_orientable[root]
-        genus = (2 - euler) // 2 if closed and orientable else None
+    for (r0, r1), tvs in members.items():
+        ids = [3 * tv + k for tv in tvs for k in range(3)]
+        boundary = [e for e in ids if e not in glued]
+        v_count = len({corners.find(c) for c in ids})
+        e_count = len(boundary) + (len(ids) - len(boundary)) // 2
+        euler = v_count - e_count + len(tvs)
+        closed = not boundary
+        orientable = r0 != r1
         reports.append(
             LinkSurfaceReport(
-                vertex_class=tuple((tv // 4, tv % 4) for tv in sorted(members)),
-                triangles=f_count,
-                boundary_edges=boundary,
-                boundary_cycles=cycles_of.get(root, 0),
+                vertex_class=tuple((tv // 4, tv % 4) for tv in tvs),
+                triangles=len(tvs),
+                boundary_edges=len(boundary),
+                boundary_cycles=len({boundary_uf.find(e) for e in boundary}),
                 euler=euler,
                 orientable=orientable,
                 closed=closed,
-                genus=genus,
+                genus=(2 - euler) // 2 if closed and orientable else None,
             )
         )
     return reports

@@ -1,9 +1,11 @@
 """Triangulation table, text formats, and isomorphism signatures."""
 
+import itertools
 import random
 
 import pytest
 
+from linkcensus import fpg
 from linkcensus.core import (
     ParseError,
     Triangulation,
@@ -11,7 +13,6 @@ from linkcensus.core import (
     decode_signature,
     edge_classes,
     from_human_rows,
-    is_connected,
     is_orientable,
     iso_signature,
     parse_table,
@@ -21,7 +22,7 @@ from linkcensus.core import (
     serialize_human,
     vertex_classes,
 )
-from linkcensus.perms import GLUING_PERMS, PERM4_INV
+from linkcensus.perms import GLUING_PERMS, PERM4_INV, PERM4_SIGN
 from oracles import random_pairing
 
 
@@ -34,7 +35,7 @@ def random_complete(rng: random.Random, n: int) -> Triangulation:
             if s < d:
                 pi = GLUING_PERMS[s % 4][d % 4][rng.randrange(6)]
                 tri.glue(s, d, pi)
-        if is_connected(tri):
+        if fpg.is_connected(tri.adj):
             assert parse_table(serialize(tri)) == tri
             return tri
 
@@ -182,7 +183,7 @@ def test_class_counts_single_gluing():
 
 def test_connectivity_and_orientability_guards():
     tri = Triangulation(2)
-    assert not is_connected(tri)
+    assert not fpg.is_connected(tri.adj)
     with pytest.raises(ValueError, match="complete"):
         is_orientable(tri)
     # complete but disconnected: two tets glued only to themselves
@@ -190,13 +191,40 @@ def test_connectivity_and_orientability_guards():
     for t in range(2):
         tri2.glue(4 * t, 4 * t + 1, GLUING_PERMS[0][1][0])
         tri2.glue(4 * t + 2, 4 * t + 3, GLUING_PERMS[2][3][0])
-    assert tri2.is_complete() and not is_connected(tri2)
+    assert tri2.is_complete() and not fpg.is_connected(tri2.adj)
     with pytest.raises(ValueError, match="connected"):
         is_orientable(tri2)
     with pytest.raises(ValueError, match="connected"):
         iso_signature(tri2)
     with pytest.raises(ValueError, match="complete"):
         iso_signature(tri)
+
+
+def test_orientability_matches_a_brute_force_sign_search():
+    """On random complete tables, mostly not manifolds: orientable exactly
+    when some tetrahedron signs are kept by every odd gluing and flipped
+    by every even one, tried over all 2^n sign choices."""
+    rng = random.Random(17)
+    outcomes = {True: 0, False: 0, "disconnected": 0}
+    for _ in range(600):
+        n = rng.randint(1, 4)
+        slots = list(range(4 * n))
+        rng.shuffle(slots)
+        tri = Triangulation(n)
+        for s, d in zip(slots[::2], slots[1::2]):
+            tri.glue(s, d, GLUING_PERMS[s % 4][d % 4][rng.randrange(6)])
+        if not fpg.is_connected(tri.adj):
+            with pytest.raises(ValueError, match="connected"):
+                is_orientable(tri)
+            outcomes["disconnected"] += 1
+            continue
+        want = any(
+            all(signs[d // 4] == signs[s // 4] * -PERM4_SIGN[tri.perm[s]]
+                for s, d in enumerate(tri.adj))
+            for signs in itertools.product((1, -1), repeat=n))
+        assert is_orientable(tri) == want, serialize(tri)
+        outcomes[want] += 1
+    assert min(outcomes.values()) > 0, outcomes
 
 
 def test_signature_shape():

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linkcensus.linktrack import GlueOutcome, LinkState, link_edge_id
-from linkcensus.perms import GLUING_PERMS, LINK_EDGE_POS
+from linkcensus.linktrack import GlueOutcome, LinkState
+from linkcensus.perms import GLUING_PERMS, LINK_EDGE_POS, link_edge_id
 from oracles import linkstate_fingerprint, linktrack_fuzz_trial
 
 
