@@ -19,10 +19,12 @@ import json
 import signal
 import sys
 import time
-from fractions import Fraction
 from math import factorial
+from typing import TYPE_CHECKING
 
-from .core import ParseError, decode_signature, parse_table, serialize
+# decode_signature and serialize stay bound here for perfbench/tracer.py,
+# which patches them by name (ROADMAP item 1)
+from .core import ParseError, decode_signature, parse_table, serialize, signature_table
 from .fpg import enumerate_pairings, format_pairing, graph_summary
 from .search import (
     COUNTERS,
@@ -42,6 +44,9 @@ from .search import (
     stats_csv,
     summary_line,
 )
+
+if TYPE_CHECKING:  # loading fractions slows every other command
+    from fractions import Fraction
 
 
 def _add_census_flags(p: argparse.ArgumentParser) -> None:
@@ -81,9 +86,9 @@ def _result_files(args):
 
 
 def _emit_result(result: CensusResult, args, out, stats) -> None:
-    for sig in result.signatures():
-        out.write(sig if args.sigs else serialize(decode_signature(sig)))
-        out.write("\n")
+    sigs = result.signatures()
+    out.writelines(f"{line}\n" for line in
+                   (sigs if args.sigs else map(signature_table, sigs)))
     if stats is not None:
         stats.write(stats_csv(result))
     print(summary_line(result))
@@ -272,6 +277,8 @@ def _sci(fr: Fraction) -> str:
 
 def lower_bound(n: int) -> Fraction:
     """Labelled-triangulation count bound (2n+1)! 6^(2n) / (2 n! 24^n)."""
+    from fractions import Fraction
+
     if n < 1:
         raise ValueError("size must be at least 1")
     return Fraction(factorial(2 * n + 1) * 6 ** (2 * n),

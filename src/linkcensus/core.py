@@ -18,7 +18,10 @@ data in the letter/digit-triple style used for worked examples
 The readers of the three text forms (`parse_table`, `from_human_rows`,
 `decode_signature`) only tokenize: each turns its text into two ints per
 slot, partner tetrahedron and Perm4 index, and `_table` alone checks that
-every gluing is in range and glues back.
+every gluing is in range and glues back.  The two writers of the table
+line share one renderer, `_table_line`: `serialize` renders a table, and
+`signature_table` renders a signature's digits straight into the line
+that `serialize(decode_signature(sig))` writes, with no table built.
 
 The invariants are closures of one plain `UnionFind`.  `vertex_classes`
 uses it directly; every sign question goes through `sign_classes`, which
@@ -125,7 +128,7 @@ class Triangulation:
         self.perm[s] = self.perm[d] = -1
 
 
-def _table(n: int, digits: list[int]) -> Triangulation:
+def _table(n: int, digits: list[int] | bytes) -> Triangulation:
     """The table read from text: slot s glued to tetrahedron digits[2s] by
     the Perm4 index digits[2s + 1], or unglued where both are -1.
 
@@ -135,16 +138,17 @@ def _table(n: int, digits: list[int]) -> Triangulation:
     """
     tri = Triangulation(n)
     adj, perm = tri.adj, tri.perm
-    for s in range(4 * n):
-        dt, pi = digits[2 * s], digits[2 * s + 1]
+    partner_face, perm_inv = _PARTNER_FACE, PERM4_INV
+    tets, perms = digits[::2], digits[1::2]
+    for s, (dt, pi) in enumerate(zip(tets, perms)):
         if dt == -1:
             continue
         if dt >= n or pi >= 24:
             raise ParseError(f"slot {s // 4}:{s % 4}: gluing {dt}:{pi} out of range")
-        d = 4 * dt + _PARTNER_FACE[s % 4][pi]
+        d = 4 * dt + partner_face[s & 3][pi]
         if d == s:
             raise ParseError(f"slot {s // 4}:{s % 4}: glued to itself")
-        if digits[2 * d] != s // 4 or digits[2 * d + 1] != PERM4_INV[pi]:
+        if tets[d] != s >> 2 or perms[d] != perm_inv[pi]:
             raise ParseError(f"slot {s // 4}:{s % 4}: partner {dt}:{d % 4} "
                              "does not glue back")
         adj[s] = d
@@ -152,10 +156,16 @@ def _table(n: int, digits: list[int]) -> Triangulation:
     return tri
 
 
+def _table_line(n: int, toks: list[str]) -> str:
+    """The text line of a table of n tetrahedra from its 4n slot tokens:
+    the one renderer of `serialize` and `signature_table`."""
+    return f"{n} ; " + " ; ".join([" ".join(toks[i:i + 4])
+                                   for i in range(0, 4 * n, 4)])
+
+
 def serialize(tri: Triangulation) -> str:
-    toks = ["-" if d == -1 else f"{d // 4}:{p}" for d, p in zip(tri.adj, tri.perm)]
-    groups = (" ".join(toks[i:i + 4]) for i in range(0, len(toks), 4))
-    return f"{tri.n} ; " + " ; ".join(groups)
+    return _table_line(tri.n, ["-" if d == -1 else f"{d // 4}:{p}"
+                               for d, p in zip(tri.adj, tri.perm)])
 
 
 _TOKEN_RE = re.compile(r"^([0-9]+):([0-9]+)$")
@@ -442,8 +452,26 @@ def iso_signature(tri: Triangulation) -> str:
     return sequence_signature(tri.n, canonical_sequence(tri.n, tri.adj, tri.perm))
 
 
-#: base-36 digit -> value
-_DIGIT_VALUE = {c: v for v, c in enumerate(_DIGITS)}
+#: byte of a base-36 digit -> its value, 255 for any other byte
+_DIGIT_VALUE = bytes(_DIGITS.find(chr(b)) % 256 for b in range(256))
+#: value of a base-36 digit -> its decimal text
+_VALUE_TEXT = tuple(map(str, range(36)))
+
+
+def _signature_digits(sig: str) -> tuple[int, bytes]:
+    """The size of an iso_signature and its two digits per slot, as the
+    table `_table` reads; a malformed signature raises ParseError."""
+    head, _, body = sig.partition(";")
+    if not (head.isascii() and head.isdigit()) or int(head) < 1:
+        raise ParseError("signature must start with a positive tetrahedron count")
+    n = int(head)
+    if len(body) != 8 * n:
+        raise ParseError(f"signature body must have {8 * n} digits")
+    digits = body.encode().translate(_DIGIT_VALUE) if body.isascii() else b"\xff"
+    if 255 in digits:
+        bad = next(c for c in body if c not in _DIGITS)
+        raise ParseError(f"bad signature digit {bad!r}")
+    return n, digits
 
 
 def decode_signature(sig: str) -> Triangulation:
@@ -452,14 +480,15 @@ def decode_signature(sig: str) -> Triangulation:
     The digits are the table `_table` reads, so an inconsistent one
     raises ParseError.
     """
-    head, _, body = sig.partition(";")
-    if not (head.isascii() and head.isdigit()) or int(head) < 1:
-        raise ParseError("signature must start with a positive tetrahedron count")
-    n = int(head)
-    if len(body) != 8 * n:
-        raise ParseError(f"signature body must have {8 * n} digits")
-    try:
-        digits = [_DIGIT_VALUE[c] for c in body]
-    except KeyError as e:
-        raise ParseError(f"bad signature digit {e.args[0]!r}") from None
-    return _table(n, digits)
+    return _table(*_signature_digits(sig))
+
+
+def signature_table(sig: str) -> str:
+    """`serialize(decode_signature(sig))` for a signature that
+    `decode_signature` accepts, rendered straight from its digits.  Only
+    their syntax is checked: a digit outside the alphabet raises
+    ParseError, but not a gluing that does not glue back."""
+    n, digits = _signature_digits(sig)
+    text = _VALUE_TEXT
+    return _table_line(n, [f"{text[t]}:{text[p]}"
+                           for t, p in zip(digits[::2], digits[1::2])])

@@ -25,7 +25,11 @@ its parent's prefix.  At a completed canonical matching the relabellings
 still tied are its automorphisms, the relabellings that map it to
 itself; the enumeration yields them with each pairing, and
 `automorphisms` scans a single pairing from the root.  The census uses
-them to search one gluing per symmetry orbit.
+them to search one gluing per symmetry orbit.  A branch keeps its
+relabelling as a slot map, old slot to new slot, so a tied branch at a
+completed matching already holds the automorphism it stands for.  That
+form changes what a step costs, not what the scan returns: the same
+verdicts, and the same automorphisms in the same order.
 """
 
 from __future__ import annotations
@@ -81,7 +85,7 @@ def is_connected(fp: Sequence[int]) -> bool:
 def _roots(n: int) -> list[tuple[int, ...]]:
     """The scan's first branches: one per tetrahedron taking index 0."""
     return [(0, 1, *(0 if t == start else -1 for t in range(n)), start,
-             *[-1] * (9 * n - 1)) for start in range(n)]
+             *[-1] * (8 * n)) for start in range(n)]
 
 
 def _advance(fp: Sequence[int], limit: int,
@@ -94,38 +98,36 @@ def _advance(fp: Sequence[int], limit: int,
 
     A branch is one relabelling under construction, scanned output
     position by position: a partner in a fresh tetrahedron forces the next
-    index, an unlabelled partner slot forces the lowest free label, and
-    only the old slot placed at the scanned position can branch.  A branch
-    whose value exceeds fp's is dropped, and one whose value dips below it
-    ends the scan.  A branch is suspended either tied with fp[:limit] or
-    at an unpaired slot (-1 in a partial matching), with that slot's label
-    already placed, so that resuming it takes the slot as the forced
-    option once it is paired.  Resuming never rereads a value, so the
-    values read stay valid as long as fp only gains pairs.  At limit 4n
-    the tied branches are the relabellings that fix fp.
+    index, an unplaced partner slot forces the lowest free slot of its
+    tetrahedron, and only the old slot placed at the scanned position can
+    branch.  A branch whose value exceeds fp's is dropped, and one whose
+    value dips below it ends the scan.  A branch is suspended either tied
+    with fp[:limit] or at an unpaired slot (-1 in a partial matching),
+    with that slot already placed, so that resuming it takes the slot as
+    the forced option once it is paired.  Resuming never rereads a value,
+    so the values read stay valid as long as fp only gains pairs.  At
+    limit 4n the tied branches are the relabellings that fix fp.
 
-    Each branch is one flat tuple: the position q, the number of
-    tetrahedra indexed, then old tet -> new index, new index -> old tet
-    (padded with -1), old slot -> label and 4 * old tet + label -> old
-    slot.
+    Each branch is one flat tuple: the position q, the number k of
+    tetrahedra indexed, then old tet -> new index, the k old tets in index
+    order, old slot -> new slot and new slot -> old slot (-1 where unset).
     """
     n = len(fp) // 4
     tetmap: list[int] = []
     inv: list[int] = []
-    labels: list[int] = []
-    lab_inv: list[int] = []
+    smap: list[int] = []
+    sinv: list[int] = []
     suspended: list[tuple[int, ...]] = []
 
     def suspend(q: int) -> None:
-        suspended.append((q, len(inv), *tetmap, *inv, *[-1] * (n - len(inv)),
-                          *labels, *lab_inv))
+        suspended.append((q, len(inv), *tetmap, *inv, *smap, *sinv))
 
     def scan(q: int) -> bool:
         """True if some completion of the current relabelling beats fp."""
         if q == limit:
             suspend(q)
             return False
-        u, g = divmod(q, 4)
+        u = q >> 2
         if u == len(inv):
             for tau in range(n):
                 if tetmap[tau] == -1:
@@ -137,51 +139,54 @@ def _advance(fp: Sequence[int], limit: int,
                     if beaten:
                         return True
             return False
-        tau = inv[u]
-        forced = lab_inv[4 * tau + g]
-        options = ([forced] if forced != -1 else
-                   [4 * tau + f for f in range(4) if labels[4 * tau + f] == -1])
+        forced = sinv[q]
+        free = forced == -1
+        if free:
+            first = 4 * inv[u]
+            options = [s for s in range(first, first + 4) if smap[s] == -1]
+        else:
+            options = [forced]
+        want = fp[q]
         for s_old in options:
-            undo_label = labels[s_old] == -1
-            if undo_label:
-                labels[s_old] = g
-                lab_inv[4 * tau + g] = s_old
+            if free:
+                smap[s_old] = q
+                sinv[q] = s_old
             p_old = fp[s_old]
             if p_old < 0:
                 suspend(q)
                 beaten = False
             else:
-                pt = p_old // 4
+                pt = p_old >> 2
                 undo_tet = tetmap[pt] == -1
                 if undo_tet:
                     tetmap[pt] = len(inv)
                     inv.append(pt)
-                plab = labels[p_old]
-                undo_plab = plab == -1
-                if undo_plab:
-                    plab = next(k for k in range(4) if lab_inv[4 * pt + k] == -1)
-                    labels[p_old] = plab
-                    lab_inv[4 * pt + plab] = p_old
-                value = 4 * tetmap[pt] + plab
-                beaten = value < fp[q] or (value == fp[q] and scan(q + 1))
-                if undo_plab:
-                    labels[p_old] = -1
-                    lab_inv[4 * pt + plab] = -1
+                value = smap[p_old]
+                undo_partner = value == -1
+                if undo_partner:
+                    value = sinv.index(-1, 4 * tetmap[pt], 4 * tetmap[pt] + 4)
+                    smap[p_old] = value
+                    sinv[value] = p_old
+                beaten = value < want or (value == want and scan(q + 1))
+                if undo_partner:
+                    smap[p_old] = -1
+                    sinv[value] = -1
                 if undo_tet:
                     tetmap[pt] = -1
                     inv.pop()
-            if undo_label:
-                labels[s_old] = -1
-                lab_inv[4 * tau + g] = -1
+            if free:
+                smap[s_old] = -1
+                sinv[q] = -1
             if beaten:
                 return True
         return False
 
     for b in branches:
+        k = b[1]
         tetmap[:] = b[2:2 + n]
-        inv[:] = b[2 + n:2 + n + b[1]]
-        labels[:] = b[2 + 2 * n:2 + 6 * n]
-        lab_inv[:] = b[2 + 6 * n:]
+        inv[:] = b[2 + n:2 + n + k]
+        smap[:] = b[2 + n + k:2 + 5 * n + k]
+        sinv[:] = b[2 + 5 * n + k:]
         if scan(b[0]):
             return None
     return suspended
@@ -189,11 +194,10 @@ def _advance(fp: Sequence[int], limit: int,
 
 def _moved(ties: list[tuple[int, ...]], n: int) -> list[Relabelling]:
     """The complete relabellings among `ties` other than the identity, as
-    maps from old slot to new slot."""
+    maps from old slot to new slot: a complete branch has indexed all n
+    tetrahedra, so its slot map starts at 2 + 2n."""
     identity = tuple(range(4 * n))
-    maps = (tuple(4 * b[2 + s // 4] + b[2 + 2 * n + s] for s in range(4 * n))
-            for b in ties)
-    return [m for m in maps if m != identity]
+    return [m for m in [b[2 + 2 * n:2 + 6 * n] for b in ties] if m != identity]
 
 
 def is_canonical(fp: Pairing) -> bool:

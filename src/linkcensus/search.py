@@ -28,13 +28,19 @@ come from the enumeration in `split_jobs` or a scan in `run_job`.
 merge's sums, the stats CSV columns and the JSON row columns all follow
 it, so a new counter is one entry there, one `PairingRow` field and
 the code that counts it.
+
+The four value classes (`SearchConfig`, `PairingRow`, `CensusResult`,
+`JobDescriptor`) are plain named tuples: immutable, hashable and
+picklable for worker processes, with `_fields` naming their fields.
+`SearchConfig` checks its arguments when built, and a `CensusResult`
+compares and hashes without its `jobs`.
 """
 
 from __future__ import annotations
 
 import functools
 import os
-from dataclasses import asdict, dataclass, field, fields
+from typing import NamedTuple
 
 from .core import ParseError, decode_signature
 from .fpg import (
@@ -74,30 +80,38 @@ def load_backend(name: str | None = None):
     return _engine_py
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class _Config(NamedTuple):
+    n: int
+    mode: str
+    level: int
+
+
+class SearchConfig(_Config):
     """What to enumerate: size, orientability mode and pruning level.
     Nothing else changes a census, so the kernels' positional `seed` is
     always passed 0.  Level 0, the unpruned tree, is refused above
     LEVEL0_SIZE_CAP."""
 
-    n: int
-    mode: str = "all"
-    level: int = 2
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, n: int, mode: str = "all", level: int = 2):
+        if n < 1:
             raise ValueError("size must be at least 1")
-        if self.mode not in MODES:
+        if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.level not in (0, 1, 2):
+        if level not in (0, 1, 2):
             raise ValueError("pruning level must be 0, 1 or 2")
-        if self.level == 0 and self.n > LEVEL0_SIZE_CAP:
+        if level == 0 and n > LEVEL0_SIZE_CAP:
             raise ValueError(
                 f"pruning level 0 is limited to n <= {LEVEL0_SIZE_CAP}")
+        return super().__new__(cls, n, mode, level)
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace checks its result too
+        return cls(*fields)
 
 
-CONFIG_KEYS = {f.name for f in fields(SearchConfig)}
+CONFIG_KEYS = set(SearchConfig._fields)
 #: header keys of a job line, in the order format_job writes them
 JOB_KEYS = ("n", "mode", "level", "index")
 
@@ -115,8 +129,7 @@ _KERNEL_COUNTERS = tuple(c for c in COUNTERS if c != "prune_auto")
 AUTO_DEPTH = 5
 
 
-@dataclass(frozen=True)
-class PairingRow:
+class PairingRow(NamedTuple):
     """Counts and deduplicated signatures for one canonical pairing; the
     fields between `index` and the signatures are the COUNTERS."""
 
@@ -147,15 +160,23 @@ def _totals(rows) -> dict[str, int]:
 JobId = tuple[int, tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class CensusResult:
+class CensusResult(NamedTuple):
     """Per-pairing rows of a census or part of one.  `jobs` holds the ids
     of the split jobs the result covers; it takes no part in equality, so
     censuses split at different depths compare equal."""
 
     config: SearchConfig
     rows: tuple[PairingRow, ...]
-    jobs: tuple[JobId, ...] = field(default=(), compare=False)
+    jobs: tuple[JobId, ...] = ()
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CensusResult) and self[:2] == other[:2]
+
+    def __ne__(self, other) -> bool:  # tuple's own != would compare jobs
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:2])
 
     @property
     def total(self) -> int:
@@ -185,8 +206,7 @@ class CensusResult:
         return out
 
 
-@dataclass(frozen=True)
-class JobDescriptor:
+class JobDescriptor(NamedTuple):
     """A replayable slice of the search: pairing plus gluing prefix."""
 
     config: SearchConfig
@@ -217,29 +237,24 @@ def _branch_maps(pairing: tuple[int, ...], autos: list[tuple[int, ...]],
     """
     pairs = pairs_of(pairing)
     depth = min(depth, len(pairs))
-    position = {s1: k for k, (s1, _) in enumerate(pairs)}
+    pair_of = {s: k for k, pair in enumerate(pairs) for s in pair}
     identity = b"".join(bytes([k, *range(24)]) for k in range(depth))
     maps = set()
     for a in autos:
-        source = [0] * len(pairs)
-        for k, (s1, s2) in enumerate(pairs):
-            source[position[min(a[s1], a[s2])]] = k
+        # rho_t of every tetrahedron t = s // 4; ~x & 3 is 3 - x % 4
+        rho = [PERM4_INDEX[(~a[s + 3] & 3, ~a[s + 2] & 3, ~a[s + 1] & 3, ~a[s] & 3)]
+               for s in range(0, len(a), 4)]
         m = bytearray()
-        for k in source[:depth]:
+        for low, _ in pairs[:depth]:
+            k = pair_of[a.index(low)]  # the pair a carries onto this position
             if k >= depth:
                 break
             s1, s2 = pairs[k]
             m.append(k)
-            m += _image_table(_rho(a, s1 // 4), _rho(a, s2 // 4), a[s1] > a[s2])
+            m += _image_table(rho[s1 >> 2], rho[s2 >> 2], a[s1] > a[s2])
         if m != identity[:len(m)]:
             maps.add(bytes(m))
     return tuple(sorted(maps))
-
-
-def _rho(a: tuple[int, ...], t: int) -> int:
-    """Perm4 index of the vertex relabelling of tetrahedron t under a."""
-    return PERM4_INDEX[(3 - a[4 * t + 3] % 4, 3 - a[4 * t + 2] % 4,
-                        3 - a[4 * t + 1] % 4, 3 - a[4 * t] % 4)]
 
 
 @functools.cache
@@ -247,8 +262,8 @@ def _image_table(rho1: int, rho2: int, swapped: bool) -> bytes:
     """Image of each Perm4 index pi under relabellings rho1 and rho2 of
     its two tetrahedra: rho2 . pi . rho1^-1, inverted when swapped."""
     back, ahead = PERM4_INV[rho1], PERM4_MUL[rho2]
-    images = (ahead[PERM4_MUL[pi][back]] for pi in range(24))
-    return bytes(PERM4_INV[x] for x in images) if swapped else bytes(images)
+    images = [ahead[PERM4_MUL[pi][back]] for pi in range(24)]
+    return bytes([PERM4_INV[x] for x in images] if swapped else images)
 
 
 def _ties(prefix: tuple[int, ...], ties: list) -> list | None:
@@ -477,7 +492,7 @@ def stats_csv(result: CensusResult) -> str:
 def result_to_dict(result: CensusResult) -> dict:
     """JSON-friendly form, exact inverse of result_from_dict."""
     return {
-        "config": asdict(result.config),
+        "config": result.config._asdict(),
         "rows": [[r.index, *r.counts().values(), list(r.orient_sigs),
                   list(r.nonor_sigs)] for r in result.rows],
         "jobs": [[index, list(prefix)] for index, prefix in result.jobs],

@@ -1,5 +1,6 @@
 """Command-line subcommands, exercised through main() directly."""
 
+import collections
 import io
 import json
 import os
@@ -13,6 +14,7 @@ import pytest
 
 import linkcensus
 from conftest import census
+from linkcensus import cli, core, search
 from linkcensus.cli import lower_bound, main
 from linkcensus.core import (
     Triangulation,
@@ -166,6 +168,31 @@ def _n3_split(tmp_path, capsys):
     return str(jobs_path), *paths
 
 
+def test_merge_writes_the_census_tables(tmp_path, capsys):
+    jobs, _, full = _n3_split(tmp_path, capsys)
+    merged, direct = tmp_path / "merged.txt", tmp_path / "direct.txt"
+    assert run_cli(capsys, "merge", full, "--jobs", jobs, "--out", str(merged))[0] == 0
+    assert run_cli(capsys, "census", "--size", "3", "--out", str(direct))[0] == 0
+    assert merged.read_bytes() == direct.read_bytes()
+    assert merged.read_text().splitlines() == [
+        serialize(decode_signature(sig)) for sig in census(3).signatures()]
+
+
+def test_merge_decodes_each_signature_once(tmp_path, capsys, monkeypatch):
+    jobs, _, full = _n3_split(tmp_path, capsys)
+    decoded = collections.Counter()
+
+    def counted(sig):
+        decoded[sig] += 1
+        return decode_signature(sig)
+
+    for module in (core, search, cli):
+        monkeypatch.setattr(module, "decode_signature", counted)
+    rc, out, _ = run_cli(capsys, "merge", full, "--jobs", jobs)
+    assert rc == 0 and len(out.splitlines()) == 82
+    assert decoded == dict.fromkeys(census(3).signatures(), 1)
+
+
 def test_merge_rejects_headerless_jobs_file(tmp_path, capsys):
     jobs, _, full = _n3_split(tmp_path, capsys)
     bad = tmp_path / "noheader.txt"
@@ -243,7 +270,8 @@ def test_merge_rejects_a_malformed_result(tmp_path, capsys):
 def test_cli_import_leaves_heavy_modules_unloaded():
     code = ("import sys, linkcensus.cli; print(' '.join(m for m in ("
             "'concurrent.futures.process', 'multiprocessing', "
-            "'linkcensus._engine_py', 'linkcensus.validate') if m in sys.modules))")
+            "'linkcensus._engine_py', 'linkcensus.validate', 'dataclasses', "
+            "'inspect', 'fractions', 'decimal') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, env=_src_env())
     assert proc.stdout.strip() == ""

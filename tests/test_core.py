@@ -2,9 +2,11 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
+from conftest import census
 from linkcensus import fpg
 from linkcensus.core import (
     ParseError,
@@ -20,6 +22,7 @@ from linkcensus.core import (
     sequence_signature,
     serialize,
     serialize_human,
+    signature_table,
     vertex_classes,
 )
 from linkcensus.perms import GLUING_PERMS, PERM4_INV, PERM4_SIGN
@@ -282,3 +285,26 @@ def test_decode_signature_errors():
     assert iso_signature(decode_signature(good)) == good
     with pytest.raises(ParseError, match="does not glue back"):
         decode_signature(tampered)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_signature_table_is_the_decoded_table(n):
+    sigs = census(n).signatures()
+    assert [signature_table(sig) for sig in sigs] == [
+        serialize(decode_signature(sig)) for sig in sigs]
+
+
+def test_signature_table_refuses_bad_digits():
+    good = "5;0101101020240000103013403d203a4m3h424220"
+    assert signature_table(good) == serialize(decode_signature(good))
+    for bad, digit in ((good[:-1] + "_", "_"), (good[:-1] + "A", "A"),
+                       (good[:-1] + "\u0662", "\u0662"),
+                       (good[:-1] + "\x00", "\x00")):
+        for read in (signature_table, decode_signature):
+            with pytest.raises(ParseError, match=re.escape(
+                    f"bad signature digit {digit!r}")):
+                read(bad)
+    with pytest.raises(ParseError, match="positive"):
+        signature_table("0;")
+    with pytest.raises(ParseError, match="must have 40 digits"):
+        signature_table(good[:-2])

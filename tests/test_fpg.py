@@ -1,10 +1,12 @@
 """Face pairing enumeration and canonicity against orbit brute force."""
 
+import hashlib
 import itertools
 import random
 
 import pytest
 
+from linkcensus.cli import main
 from linkcensus.core import UnionFind
 from linkcensus.fpg import (
     automorphisms,
@@ -17,6 +19,7 @@ from linkcensus.fpg import (
     pairs_of,
     parse_pairing,
 )
+from linkcensus.search import AUTO_DEPTH, _branch_maps
 from oracles import (
     brute_automorphisms,
     brute_minimum,
@@ -26,6 +29,13 @@ from oracles import (
 
 # connected pairing classes by size, pinned by the brute orbit scan below
 PAIRING_COUNTS = {1: 1, 2: 2, 3: 4, 4: 10, 5: 28, 6: 97, 7: 359}
+# automorphisms over all pairings, and `_branch_maps` at AUTO_DEPTH, by size
+SYMMETRY_TOTALS = {4: (662, 352), 5: (2460, 802), 6: (12735, 2841)}
+# sha256 of `linkcensus fpg --size N`
+FPG_DIGESTS = {
+    5: "0ec7526a94329312b15b552670645242e1cc995d0e49eb10758b5dd4c7f7d215",
+    6: "719cfb52f6526cfc28c12a728c7e1349ab9033473c72f145800b6b9785ae9fd5",
+}
 
 
 def test_is_canonical_matches_orbit_minimum():
@@ -46,6 +56,21 @@ def test_enumeration_is_sorted_canonical_connected(n):
     for fp in seen:
         assert is_canonical(fp)
         assert is_connected(fp)
+
+
+@pytest.mark.parametrize("n", sorted(SYMMETRY_TOTALS))
+def test_symmetry_totals_are_pinned(n):
+    found = list(enumerate_pairings(n))
+    assert (sum(len(autos) for _, autos in found),
+            sum(len(_branch_maps(fp, autos, AUTO_DEPTH)) for fp, autos in found)
+            ) == SYMMETRY_TOTALS[n]
+
+
+@pytest.mark.parametrize("n", sorted(FPG_DIGESTS))
+def test_pairing_listing_is_pinned(n, tmp_path):
+    out = tmp_path / "fpg.txt"
+    assert main(["fpg", "--size", str(n), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FPG_DIGESTS[n]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])

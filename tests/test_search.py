@@ -1,8 +1,8 @@
 """Census search: totals, levels, backends, job splitting, formats."""
 
 import collections
-import dataclasses
 import functools
+import pickle
 
 import pytest
 from hypothesis import example, given, settings
@@ -131,8 +131,23 @@ def test_config_validation():
     SearchConfig(n=4, level=0)
     with pytest.raises(ValueError, match="level 0 is limited to n <= 4"):
         SearchConfig(n=5, level=0)  # no override
-    assert [f.name for f in dataclasses.fields(SearchConfig)] == [
-        "n", "mode", "level"]
+    with pytest.raises(ValueError, match="size must be at least 1"):
+        SearchConfig(n=2)._replace(n=0)
+    assert list(SearchConfig._fields) == ["n", "mode", "level"]
+
+
+def test_value_classes_compare_hash_and_pickle():
+    """Worker processes pickle jobs and results; a result's equality and
+    hash ignore the jobs it covers."""
+    jobs, partial = split_jobs(SearchConfig(n=2), 1)
+    result = merge([partial, *map(run_job, jobs)], jobs)
+    other = result._replace(jobs=result.jobs[:1])
+    assert result == other and not result != other and hash(result) == hash(other)
+    assert result != result._replace(rows=result.rows[:1])
+    for value in (SearchConfig(n=2), jobs[0], result.rows[0], result):
+        assert pickle.loads(pickle.dumps(value)) == value
+        with pytest.raises(AttributeError):
+            value.config = None
 
 
 def test_load_backend(monkeypatch):
@@ -387,8 +402,7 @@ def test_summary_and_stats_formats():
 
 def test_counters_are_the_one_list():
     """Row fields, CSV columns, JSON rows and totals all follow COUNTERS."""
-    names = [f.name for f in dataclasses.fields(PairingRow)]
-    assert names == ["index", *COUNTERS, "orient_sigs", "nonor_sigs"]
+    assert list(PairingRow._fields) == ["index", *COUNTERS, "orient_sigs", "nonor_sigs"]
     res = census(3)
     assert stats_csv(res).splitlines()[0] == ",".join(
         ("pairing_index", *COUNTERS, "kept"))
