@@ -57,8 +57,9 @@ def search_pairing(n: int, mode: str, level: int, seed: int,
     def apply(k: int, pi: int):
         """Run all checks for choice pi at pair k; None when pruned."""
         s1, s2 = pairs[k]
-        smark = signs.checkpoint() if signs is not None else None
+        smark = None
         if signs is not None:
+            smark = signs.checkpoint()
             if signs.union(s1 // 4, s2 // 4, -PERM4_SIGN[pi]) is Outcome.CONFLICT:
                 count["prune_orient"] += 1
                 return None

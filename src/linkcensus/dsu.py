@@ -11,7 +11,6 @@ undo everything exactly.
 from __future__ import annotations
 
 import enum
-import math
 
 
 class Outcome(enum.Enum):
@@ -21,12 +20,11 @@ class Outcome(enum.Enum):
 
 
 class SignedDsu:
-    __slots__ = ("count", "parent", "sign", "rank", "components", "_journal")
+    __slots__ = ("parent", "sign", "rank", "components", "_journal")
 
     def __init__(self, count: int):
         if count < 0:
             raise ValueError("negative element count")
-        self.count = count
         self.parent = list(range(count))
         self.sign = [1] * count
         self.rank = [0] * count
@@ -68,9 +66,6 @@ class SignedDsu:
         self._journal.append((ry, bump))
         return Outcome.MERGED
 
-    def same(self, x: int, y: int) -> bool:
-        return self.find(x)[0] == self.find(y)[0]
-
     def checkpoint(self) -> int:
         return len(self._journal)
 
@@ -86,7 +81,3 @@ class SignedDsu:
             self.parent[child] = child
             self.sign[child] = 1
             self.components += 1
-
-    def max_find_steps(self) -> int:
-        """Upper bound on parent hops in find() for the current forest."""
-        return math.floor(math.log2(self.count)) + 1 if self.count else 0

@@ -19,10 +19,12 @@ would add genus to that piece, and a punctured sphere can never shed
 genus, so such gluings are rejected; splits and cross-piece merges keep
 every piece a punctured sphere.
 
-All updates are journaled.  A gluing hands back the journal mark it took
-beforehand, and ungluing to that mark rolls every later gluing back,
-restoring the earlier state exactly: the mark-and-rollback idiom of
-`SignedDsu` and `CyclicSkipList`.
+The state is these three structures and nothing else: no tally of
+boundary edges or cycles is kept, since the skip list's cycles answer
+both.  All updates are journaled.  A gluing hands back the journal mark
+it took beforehand, one checkpoint per structure, and ungluing to that
+mark rolls every later gluing back, restoring the earlier state exactly:
+the mark-and-rollback idiom of `SignedDsu` and `CyclicSkipList`.
 """
 
 from __future__ import annotations
@@ -53,20 +55,18 @@ class LinkState:
     """Link invariants of a partial gluing on n tetrahedra.
 
     `level` 1 maintains the two class structures only; level 2 adds the
-    boundary cycle tracking.  Rejected gluings leave the state untouched;
-    accepted ones return the mark that the matching unglue call restores.
+    boundary cycles, `cycles`, which is None at level 1.  Rejected
+    gluings leave the state untouched; accepted ones return the mark
+    that the matching unglue call restores.
     """
 
     def __init__(self, n: int, level: int = 2, seed: int = 0):
         if level not in (1, 2):
             raise ValueError("level must be 1 or 2")
         self.n = n
-        self.level = level
         self.edge_cls = SignedDsu(6 * n)
         self.tri_cls = SignedDsu(4 * n)
         self.cycles = None
-        self.boundary_edges = 12 * n
-        self.cycle_count = 4 * n
         if level >= 2:
             self.cycles = CyclicSkipList(12 * n, seed=seed)
             for t in range(n):
@@ -95,18 +95,14 @@ class LinkState:
             self.edge_cls.checkpoint(),
             self.tri_cls.checkpoint(),
             self.cycles.checkpoint() if self.cycles is not None else 0,
-            self.boundary_edges,
-            self.cycle_count,
         )
 
     def _restore(self, mark) -> None:
-        e_mark, t_mark, c_mark, b, cc = mark
+        e_mark, t_mark, c_mark = mark
         self.edge_cls.rollback(e_mark)
         self.tri_cls.rollback(t_mark)
         if self.cycles is not None:
             self.cycles.rollback(c_mark)
-        self.boundary_edges = b
-        self.cycle_count = cc
 
     def _link_glue(self, t1: int, v1: int, f1: int, t2: int, v2: int, f2: int,
                    dirsign: int) -> GlueOutcome:
@@ -122,8 +118,7 @@ class LinkState:
                 # distinct boundary cycles of one piece: gluing them would
                 # raise the genus, which can never come back down
                 return GlueOutcome.BAD_GENUS
-            self.cycle_count += self.cycles.excise_pair(x, y, dirsign == 1)
-        self.boundary_edges -= 2
+            self.cycles.excise_pair(x, y, dirsign == 1)
         return GlueOutcome.OK
 
     def glue_faces(self, t1: int, f1: int, t2: int, f2: int,

@@ -311,10 +311,12 @@ def _maps(pairing: tuple[int, ...], autos=None) -> tuple[bytes, ...]:
 
 def _search(eng, config: SearchConfig, index: int, pairing: tuple[int, ...],
             prefix: tuple[int, ...], maps: tuple[bytes, ...],
-            cap: int | None) -> tuple[PairingRow, list]:
+            cap: int) -> tuple[PairingRow, list]:
     """Search the tree of pairing `index` below `prefix`, filtered by the
-    pairing's `maps`, down to `cap` glued pairs or to the leaves; a
-    prefix that a map sends to a smaller one raises ValueError.
+    pairing's `maps`, down to `cap` glued pairs; a prefix at the leaves
+    is searched, not cut, so a cap at the number of pairs searches the
+    whole subtree.  A prefix that a map sends to a smaller one raises
+    ValueError.
 
     Down to AUTO_DEPTH, or one pair short of the leaves (where the kernel
     would count a leaf before writing a frontier), the children of each
@@ -335,24 +337,25 @@ def _search(eng, config: SearchConfig, index: int, pairing: tuple[int, ...],
     nonor: set[str] = set()
     frontier: list[tuple[int, ...]] = []
 
-    def descend(p: tuple[int, ...], depth_cap: int | None) -> list:
+    def descend(p: tuple[int, ...], depth_cap: int) -> list:
         raw = eng.search_pairing(config.n, config.mode, config.level, 0,
                                  pairing, prefix=p, depth_cap=depth_cap)
         for c in _KERNEL_COUNTERS:
             count[c] += raw[c]
         orient.update(raw["orient_sigs"])
         nonor.update(raw["nonor_sigs"])
-        return raw["frontier"] or []
+        return raw["frontier"]
 
-    stop = min(AUTO_DEPTH, total - 1, total if cap is None else cap)
+    stop = min(AUTO_DEPTH, total - 1, cap)
 
     def expand(p: tuple[int, ...], ties: list) -> None:
         # with no automorphism tied, the filter drops nothing below p
         if len(p) >= stop or not ties:
-            if cap is None or cap > len(p):
-                frontier.extend(descend(p, cap))
-            else:
+            # as in both kernels, which count a leaf before any frontier
+            if len(p) == cap < total:
                 frontier.append(p)
+            else:
+                frontier.extend(descend(p, cap))
             return
         for child in descend(p, len(p) + 1):
             child_ties = _ties(child, ties)
@@ -413,7 +416,7 @@ def run_job(job: JobDescriptor, backend: str | None = None) -> CensusResult:
         pi in GLUING_PERMS[s % 4][p % 4] for (s, p), pi in zip(pairs, job.prefix))
     maps = _maps(job.pairing) if replayable else ()
     row, _ = _search(eng, job.config, job.pairing_index, job.pairing,
-                     job.prefix, maps, None)
+                     job.prefix, maps, len(pairs))
     return CensusResult(job.config, (row,), (job.id,))
 
 
@@ -428,17 +431,23 @@ def merge(results: list[CensusResult], jobs: list[JobDescriptor]) -> CensusResul
     """Exact union of the results of `jobs` and their split's partial
     result: counts add, signature sets union.
 
-    Raises ValueError unless every job is covered by exactly one result
-    and no result covers anything else: a job list with one job inside
-    another's subtree (parts of splits at two depths), a job covered
-    twice, a job with no result and a result for a job not in the list
-    would each make the counts wrong.
+    Raises ValueError unless every job is covered by exactly one result,
+    no result covers anything else, and at most one result, the split's
+    partial, covers no job: a job list with one job inside another's
+    subtree (parts of splits at two depths), a job covered twice, a job
+    with no result, a result for a job not in the list and a second
+    result with no job (the partial given twice) would each make the
+    counts wrong.
     """
     if not results:
         raise ValueError("nothing to merge")
     config = results[0].config
     if any(x.config != config for x in (*results, *jobs)):
         raise ValueError("cannot merge results from different configurations")
+    bare = sum(not res.jobs for res in results)
+    if bare > 1:
+        raise ValueError(f"{bare} results cover no job; only the split's "
+                         "partial may")
     want = {job.id for job in jobs}
     nested = [(index, prefix) for index, prefix in want
               if any((index, prefix[:k]) in want for k in range(len(prefix)))]

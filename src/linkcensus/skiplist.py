@@ -121,6 +121,8 @@ class CyclicSkipList:
 
         `chain` lists (element, side_toward_next); consecutive entries are
         linked, last to first through the sentinel appended at the end.
+        Each level links, in the same cyclic order, the entries whose
+        towers reach it; an entry alone at a level links to itself.
         """
         for node, _ in chain:
             if self._live[node] or self.is_sentinel(node):
@@ -130,14 +132,8 @@ class CyclicSkipList:
         top = max(self._h[n] for n, _ in full)
         for level in range(top):
             sub = [(n, s) for n, s in full if self._h[n] > level]
-            if len(sub) == 1:
-                n, s = sub[0]
-                self._link(n, s, n, 1 - s, level)
-                continue
             for (a, sa), (b, sb) in zip(sub, sub[1:] + sub[:1]):
-                self._set(a, level, sa, (b, 1 - sb))
-            for (a, sa), (b, sb) in zip(sub, sub[1:] + sub[:1]):
-                self._set(b, level, 1 - sb, (a, sa))
+                self._link(a, sa, b, 1 - sb, level)
         for node, _ in full:
             self._set_live(node, True)
         return sent
@@ -226,9 +222,8 @@ class CyclicSkipList:
 
     # -- composite boundary surgery ----------------------------------------
 
-    def excise_pair(self, x: int, y: int, aligned: bool) -> int:
+    def excise_pair(self, x: int, y: int, aligned: bool) -> None:
         """Remove x and y and reconnect their neighbourhoods crosswise.
-        Returns the change in the number of cycles.
 
         `aligned` means side 0 of x is identified with side 0 of y (and 1
         with 1); otherwise sides cross.  Handles every degeneracy: the two
@@ -271,34 +266,26 @@ class CyclicSkipList:
         if selfx and selfy:
             self._retire(sx)
             self._retire(sy)
-            return -2
-        if selfx:
+        elif selfx:
             self._retire(sx)
             self.insert(sy, r, rs)
-            return -1
-        if selfy:
+        elif selfy:
             if not same:
                 self._retire(sy)
             self.insert(sx, p, ps)
-            return -1
-        if sealed0 and sealed1:
+        elif sealed0 and sealed1:
             self._retire(sx)  # two-node cycle vanished
-            return -1
-        if sealed0:
+        elif sealed0:
             self.insert(sx, q, qs)
-            return 0
-        if sealed1:
+        elif sealed1:
             self.insert(sx, p, ps)
-            return 0
-        self.splice(p, ps, r, rs)
-        if same:
+        else:
+            self.splice(p, ps, r, rs)
             self.insert(sx, p, ps)
-            fresh = self._alloc_sentinel()
-            self.insert(fresh, q, qs)
-            return 1
-        self.insert(sx, p, ps)
-        self._retire(sy)
-        return -1
+            if same:
+                self.insert(self._alloc_sentinel(), q, qs)
+            else:
+                self._retire(sy)
 
     def _retire(self, sentinel: int) -> None:
         self._sent_pool.append(sentinel)

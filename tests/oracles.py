@@ -345,8 +345,9 @@ def linktrack_verdict(tri: Triangulation, s1: int, s2: int, perm: int):
 
 
 def linkstate_fingerprint(ls: LinkState):
-    fp = (ls.edge_cls.components, ls.tri_cls.components,
-          ls.boundary_edges, ls.cycle_count)
+    """Every array of both union-finds, and the skip list's structure."""
+    fp = tuple((tuple(d.parent), tuple(d.sign), tuple(d.rank), d.components)
+               for d in (ls.edge_cls, ls.tri_cls))
     if ls.cycles is not None:
         fp += (ls.cycles.structure_dump(),)
     return fp
@@ -495,9 +496,10 @@ def linktrack_fuzz_trial(trial: int, ops: int = 60) -> int:
 
         reports = build_links(tri)
         glued = sum(1 for s in tri.adj if s != -1)
-        assert l2.boundary_edges == 3 * (4 * n - glued)
-        assert l1.boundary_edges == 3 * (4 * n - glued)
-        assert l2.cycle_count == sum(r.boundary_cycles for r in reports)
+        cycles = _skiplist_cycles(l2.cycles)
+        assert len(cycles) == sum(r.boundary_cycles for r in reports)
+        assert (sum(map(len, cycles)) == 3 * (4 * n - glued)
+                == sum(r.boundary_edges for r in reports))
         assert l2.tri_cls.components == len(reports)
         assert l1.tri_cls.components == len(reports)
         checks += 1
@@ -507,7 +509,5 @@ def linktrack_fuzz_trial(trial: int, ops: int = 60) -> int:
             # a fully glued level-2 state passed every incremental check,
             # so it must be a manifold outright
             assert is_3manifold(tri)
-            assert l2.boundary_edges == 0
-            assert l2.cycle_count == 0
             checks += 1
     return checks

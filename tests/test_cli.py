@@ -229,6 +229,14 @@ def test_merge_refuses_a_part_given_twice(tmp_path, capsys):
         rc, out, err = run_cli(capsys, "merge", *argv, "--jobs", jobs)
         assert rc == 1 and out == ""
         assert err.startswith("error: job covered twice: pairing ")
+    # only the jobs file's `# partial` header may cover no job
+    partial = tmp_path / "partial.json"
+    partial.write_text(Path(jobs).read_text().splitlines()[0]
+                       .removeprefix("# partial ") + "\n")
+    rc, out, err = run_cli(capsys, "merge", full, str(partial), "--jobs", jobs)
+    assert rc == 1 and out == ""
+    assert err.splitlines() == [
+        "error: 2 results cover no job; only the split's partial may"]
 
 
 def _tampered(path: str, col: int, value) -> str:
@@ -270,8 +278,10 @@ def test_merge_rejects_a_malformed_result(tmp_path, capsys):
 def test_cli_import_leaves_heavy_modules_unloaded():
     code = ("import sys, linkcensus.cli; print(' '.join(m for m in ("
             "'concurrent.futures.process', 'multiprocessing', "
-            "'linkcensus._engine_py', 'linkcensus.validate', 'dataclasses', "
-            "'inspect', 'fractions', 'decimal') if m in sys.modules))")
+            "'linkcensus._engine_py', 'linkcensus.validate', "
+            "'linkcensus.linktrack', 'linkcensus.skiplist', 'linkcensus.dsu', "
+            "'dataclasses', 'inspect', 'fractions', 'decimal') "
+            "if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, env=_src_env())
     assert proc.stdout.strip() == ""

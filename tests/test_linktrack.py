@@ -24,21 +24,23 @@ def test_fresh_state_counts():
     ls = LinkState(3, level=2, seed=0)
     assert ls.edge_cls.components == 18
     assert ls.tri_cls.components == 12
-    assert ls.boundary_edges == 36
-    assert ls.cycle_count == 12
-    assert len(ls.cycles.cycles()) == 12
-    # each corner triangle starts as its own 3-cycle
-    assert all(len(walk) == 3 for walk in ls.cycles.cycles())
+    # each corner triangle starts as its own 3-cycle: 36 boundary edges
+    walks = ls.cycles.cycles()
+    assert len(walks) == 12
+    assert all(len(walk) == 3 for walk in walks)
+    assert sorted(node for walk in walks for node, _ in walk) == list(range(36))
 
 
 def test_level_1_skips_cycle_tracking():
     ls = LinkState(2, level=1)
     assert ls.cycles is None
+    fresh = linkstate_fingerprint(ls)
     out, mark = ls.glue_faces(0, 0, 1, 0, GLUING_PERMS[0][0][0])
     assert out is GlueOutcome.OK and mark is not None
-    assert ls.boundary_edges == 18
+    # three edge pairs and three corner-triangle pairs identified
+    assert (ls.edge_cls.components, ls.tri_cls.components) == (9, 5)
     ls.unglue_faces(mark)
-    assert ls.boundary_edges == 24
+    assert linkstate_fingerprint(ls) == fresh
 
 
 def test_level_validation():
@@ -51,14 +53,11 @@ def test_level_validation():
 def test_rejected_glue_leaves_state_untouched():
     """Branch 2 of the 0-to-1 gluing maps edge 01 onto itself reversed."""
     ls = LinkState(1, level=2, seed=1)
-    before = (ls.edge_cls.components, ls.boundary_edges, ls.cycle_count,
-              ls.cycles.structure_dump())
+    before = linkstate_fingerprint(ls)
     out, mark = ls.glue_faces(0, 0, 0, 1, GLUING_PERMS[0][1][2])
     assert mark is None
     assert out is GlueOutcome.BAD_EDGE
-    after = (ls.edge_cls.components, ls.boundary_edges, ls.cycle_count,
-             ls.cycles.structure_dump())
-    assert before == after
+    assert linkstate_fingerprint(ls) == before
 
 
 def test_token_discipline():

@@ -219,6 +219,31 @@ def test_search_shape_is_pinned(n):
     assert tuple(census(n, backend="fast").counts().values()) == SEARCH_SHAPE[n]
 
 
+#: kernel calls of the n=4 census, split at depth 0 or 2 and its jobs run
+KERNEL_CALLS = 1_095
+
+
+@needs_fast
+@pytest.mark.parametrize("depth", [0, 2])
+def test_every_kernel_call_has_a_depth_cap(monkeypatch, depth):
+    """Splits and jobs alike pass the kernel an integer `depth_cap`; a job
+    caps at the leaves, where both kernels count a leaf before they would
+    write a frontier, so the calls and counters are those of a search
+    with no cap."""
+    eng = load_backend("fast")
+    search_pairing, caps = eng.search_pairing, []
+
+    def counted(*args, **kwargs):
+        caps.append(kwargs.get("depth_cap"))
+        return search_pairing(*args, **kwargs)
+
+    monkeypatch.setattr(eng, "search_pairing", counted)
+    merged = _split_run_merge(4, depth, "fast")
+    assert tuple(merged.counts().values()) == SEARCH_SHAPE[4]
+    assert len(caps) == KERNEL_CALLS
+    assert all(type(cap) is int for cap in caps)
+
+
 @needs_fast
 def test_kernels_return_the_same_counters():
     """Each kernel returns its own five counters, not prune_auto; only the
@@ -607,6 +632,12 @@ def test_merge_counts_every_job_exactly_once(homes):
 def test_merge_validation():
     with pytest.raises(ValueError, match="nothing to merge"):
         merge([], [])
+    # only the split's partial covers no job: a second copy would add its
+    # nodes again (2,016 at n=3 instead of 1,944)
+    jobs, partial, results = _n3_jobs()
+    with pytest.raises(ValueError, match="^2 results cover no job; only the "
+                                         "split's partial may$"):
+        merge([partial, partial, *results], jobs)
     # parts of splits at depths 1 and 2 would count depth-2 subtrees twice
     config = SearchConfig(n=2)
     shallow, deep = (split_jobs(config, depth)[0] for depth in (1, 2))
