@@ -15,14 +15,16 @@ gluings of one canonical pairing are isomorphic exactly when an
 automorphism of the pairing maps one to the other, so a gluing prefix is
 kept only while no automorphism maps it to a lexicographically smaller
 prefix.  The prefixes are grown one pair at a time by the kernel, depth
-first, and filtered down to AUTO_DEPTH glued pairs; the kernel searches
-everything below, and the copies it still finds there merge by
+first, and filtered as far as the maps reach: the maps alone set the
+filter's depth, and only `_maps`, which cuts them, knows it.  The kernel
+searches everything below, and the copies it still finds there merge by
 signature.  Each prefix carries the automorphisms still tied with it,
 each parked at the first position it has not decided, so a child only
 compares the positions its new pair decides, and a prefix with none
-left goes to the kernel whole.  The `prune_auto` counter counts the
-children the filter drops; the kernels count the rest.  The automorphisms
-come from the enumeration in `split_jobs` or a scan in `run_job`.
+left, as every prefix is where the maps end, goes to the kernel whole.
+The `prune_auto` counter counts the children the filter drops; the
+kernels count the rest.  The automorphisms come from the enumeration in
+`split_jobs` or a scan in `run_job`.
 
 `COUNTERS` names the per-pairing search counters once: the row fields,
 merge's sums, the stats CSV columns and the JSON row columns all follow
@@ -123,9 +125,9 @@ COUNTERS = ("nodes", "prune_orient", "prune_edge", "prune_genus",
 #: the COUNTERS both kernels return; `_search` counts prune_auto itself
 _KERNEL_COUNTERS = tuple(c for c in COUNTERS if c != "prune_auto")
 
-#: glued pairs down to which prefixes are filtered by the pairing's
-#: automorphisms; below it the kernel searches every gluing.  A constant,
-#: so that the counters depend on neither the split depth nor the backend
+#: glued pairs at which `_maps` cuts every map, and so the depth down to
+#: which prefixes are filtered; only `_maps` reads it.  A constant, so
+#: that the counters depend on neither the split depth nor the backend
 AUTO_DEPTH = 5
 
 
@@ -295,13 +297,13 @@ def _ties(prefix: tuple[int, ...], ties: list) -> list | None:
     return kept
 
 
-#: each pairing's `_branch_maps` to AUTO_DEPTH, built once per process
+#: each pairing's maps from `_maps`, built once per process
 _MAPS: dict[tuple[int, ...], tuple[bytes, ...]] = {}
 
 
 def _maps(pairing: tuple[int, ...], autos=None) -> tuple[bytes, ...]:
-    """The pairing's maps, built on first use from its automorphisms
-    `autos`, or from `automorphisms(pairing)` when None."""
+    """The pairing's maps cut at AUTO_DEPTH, built on first use from its
+    automorphisms `autos`, or from `automorphisms(pairing)` when None."""
     if pairing not in _MAPS:
         _MAPS[pairing] = _branch_maps(
             pairing, automorphisms(pairing) if autos is None else autos,
@@ -313,25 +315,21 @@ def _search(eng, config: SearchConfig, index: int, pairing: tuple[int, ...],
             prefix: tuple[int, ...], maps: tuple[bytes, ...],
             cap: int) -> tuple[PairingRow, list]:
     """Search the tree of pairing `index` below `prefix`, filtered by the
-    pairing's `maps`, down to `cap` glued pairs; a prefix at the leaves
-    is searched, not cut, so a cap at the number of pairs searches the
-    whole subtree.  A prefix that a map sends to a smaller one raises
-    ValueError.
+    pairing's `maps`, down to `cap` glued pairs.  A prefix that a map
+    sends to a smaller one raises ValueError.
 
-    Down to AUTO_DEPTH, or one pair short of the leaves (where the kernel
-    would count a leaf before writing a frontier), the children of each
-    prefix come from a `depth_cap = d + 1` kernel call and only the least
-    under the pairing's automorphisms go on, depth first; `prune_auto`
-    counts the rest.  The kernel searches every gluing below, and the
-    whole subtree of a prefix that no automorphism is still tied with in
-    one call.  Returns the row of counters and signatures, and the
-    prefixes at `cap`.
+    While an automorphism is tied with a prefix, its children come from a
+    `depth_cap = d + 1` kernel call and only the least under the
+    pairing's automorphisms go on, depth first; `prune_auto` counts the
+    rest.  A tie ends with its map, so the maps alone set how deep the
+    filter goes.  The whole subtree of a prefix that no automorphism is
+    tied with goes to the kernel in one call.  Returns the row of
+    counters and signatures, and the prefixes at `cap`.
     """
     ties = _ties(prefix, [(m, 0) for m in maps])
     if ties is None:
         raise ValueError("corrupt job: an automorphism of the pairing maps "
                          "the prefix to a smaller one")
-    total = len(pairing) // 2
     count = dict.fromkeys(COUNTERS, 0)
     orient: set[str] = set()
     nonor: set[str] = set()
@@ -346,23 +344,18 @@ def _search(eng, config: SearchConfig, index: int, pairing: tuple[int, ...],
         nonor.update(raw["nonor_sigs"])
         return raw["frontier"]
 
-    stop = min(AUTO_DEPTH, total - 1, cap)
-
     def expand(p: tuple[int, ...], ties: list) -> None:
-        # with no automorphism tied, the filter drops nothing below p
-        if len(p) >= stop or not ties:
-            # as in both kernels, which count a leaf before any frontier
-            if len(p) == cap < total:
-                frontier.append(p)
-            else:
-                frontier.extend(descend(p, cap))
-            return
-        for child in descend(p, len(p) + 1):
-            child_ties = _ties(child, ties)
-            if child_ties is None:
-                count["prune_auto"] += 1
-            else:
-                expand(child, child_ties)
+        if len(p) == cap:
+            frontier.append(p)
+        elif not ties:  # the filter drops nothing below p
+            frontier.extend(descend(p, cap))
+        else:
+            for child in descend(p, len(p) + 1):
+                child_ties = _ties(child, ties)
+                if child_ties is None:
+                    count["prune_auto"] += 1
+                else:
+                    expand(child, child_ties)
 
     expand(prefix, ties)
     return PairingRow(index, **count, orient_sigs=tuple(sorted(orient)),
@@ -404,15 +397,18 @@ def split_jobs(config: SearchConfig, depth: int,
 def run_job(job: JobDescriptor, backend: str | None = None) -> CensusResult:
     """Replay the job's prefix and search its subtree.
 
-    Counts cover only the subtree below the prefix.  A job that
-    split_jobs cannot have written raises ValueError: a pairing that is
-    not canonical or not connected, a prefix that fails its own pruning
+    Counts cover only the subtree below the prefix, filtered as far as
+    the pairing's maps reach.  A job that split_jobs cannot have written
+    raises ValueError: a pairing that is not canonical or not connected,
+    a prefix that glues every pair, one that fails its own pruning
     checks, and one that an automorphism maps to a smaller prefix.
     """
     eng = load_backend(backend)
     pairs = pairs_of(job.pairing)
+    if len(job.prefix) == len(pairs):
+        raise ValueError("corrupt job: the prefix glues every pair")
     # a prefix the kernel cannot replay is left to the kernel's diagnostics
-    replayable = len(job.prefix) <= len(pairs) and all(
+    replayable = len(job.prefix) < len(pairs) and all(
         pi in GLUING_PERMS[s % 4][p % 4] for (s, p), pi in zip(pairs, job.prefix))
     maps = _maps(job.pairing) if replayable else ()
     row, _ = _search(eng, job.config, job.pairing_index, job.pairing,
@@ -551,6 +547,9 @@ def result_from_dict(data: dict) -> CensusResult:
         raise ValueError(f"malformed result: rows must have {len(COUNTERS) + 3}"
                          f" columns, {len(COUNTERS) + 1} non-negative integers"
                          " and two lists of signatures")
+    indexes = [row[0] for row in data["rows"]]
+    if indexes != sorted(set(indexes)):
+        raise ValueError("malformed result: row indexes must increase strictly")
     if not _is_list_of(data["jobs"], _is_job):
         raise ValueError("malformed result: jobs must be [index, prefix] "
                          "pairs of non-negative integers")

@@ -273,6 +273,14 @@ def test_merge_rejects_a_malformed_result(tmp_path, capsys):
         rc, out, err = run_cli(capsys, "merge", bad, "--jobs", jobs)
         assert (rc, out) == (1, ""), (col, value)
         assert err.startswith("error: malformed result: ")
+    # a repeated row would count its pairing twice
+    data = json.loads(Path(full).read_text())
+    data["rows"].append(data["rows"][0])
+    bad = tmp_path / "repeated.json"
+    bad.write_text(json.dumps(data) + "\n")
+    rc, out, err = run_cli(capsys, "merge", str(bad), "--jobs", jobs)
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: malformed result: ")
 
 
 def test_cli_import_leaves_heavy_modules_unloaded():
@@ -411,6 +419,12 @@ def test_contract_violations_exit_one(tmp_path, capsys):
                     "2 ; 0.1 0.0 0.3 0.2 1.1 1.0 1.3 1.2 |\n")
     rc, out, err = run_cli(capsys, "run-job", "--in", str(jobs))
     assert (rc, out, err) == (1, "", "error: pairing is not connected\n")
+    # a complete gluing that passes every check, but no job of a split
+    jobs.write_text("n=2 mode=all level=2 index=0 | 2 ; 0.1 0.0 1.0 1.1 "
+                    "0.2 0.3 1.3 1.2 | 0=0:1 2=1:4 3=1:12 6=1:6\n")
+    rc, out, err = run_cli(capsys, "run-job", "--in", str(jobs))
+    assert (rc, out) == (1, "")
+    assert err.splitlines() == ["error: corrupt job: the prefix glues every pair"]
 
 
 def test_run_job_refuses_a_symmetric_copy(tmp_path, capsys):

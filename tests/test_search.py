@@ -219,17 +219,13 @@ def test_search_shape_is_pinned(n):
     assert tuple(census(n, backend="fast").counts().values()) == SEARCH_SHAPE[n]
 
 
-#: kernel calls of the n=4 census, split at depth 0 or 2 and its jobs run
-KERNEL_CALLS = 1_095
+#: kernel calls of the census by size, split at depth 0 or 2 and its
+#: jobs run; n=5 at depths 0 and 2 are the census-n5 and jobs-n5 workloads
+KERNEL_CALLS = {4: 1_095, 5: 3_743}
 
 
-@needs_fast
-@pytest.mark.parametrize("depth", [0, 2])
-def test_every_kernel_call_has_a_depth_cap(monkeypatch, depth):
-    """Splits and jobs alike pass the kernel an integer `depth_cap`; a job
-    caps at the leaves, where both kernels count a leaf before they would
-    write a frontier, so the calls and counters are those of a search
-    with no cap."""
+def _kernel_caps(monkeypatch) -> list:
+    """The `depth_cap` of every compiled-kernel call from now on."""
     eng = load_backend("fast")
     search_pairing, caps = eng.search_pairing, []
 
@@ -238,10 +234,39 @@ def test_every_kernel_call_has_a_depth_cap(monkeypatch, depth):
         return search_pairing(*args, **kwargs)
 
     monkeypatch.setattr(eng, "search_pairing", counted)
-    merged = _split_run_merge(4, depth, "fast")
-    assert tuple(merged.counts().values()) == SEARCH_SHAPE[4]
-    assert len(caps) == KERNEL_CALLS
+    return caps
+
+
+@needs_fast
+@pytest.mark.parametrize("n", sorted(KERNEL_CALLS))
+@pytest.mark.parametrize("depth", [0, 2])
+def test_every_kernel_call_has_a_depth_cap(monkeypatch, n, depth):
+    """Splits and jobs alike pass the kernel an integer `depth_cap`; a job
+    caps at the leaves, where both kernels count a leaf before they would
+    write a frontier, so the calls and counters are those of a search
+    with no cap."""
+    caps = _kernel_caps(monkeypatch)
+    merged = _split_run_merge(n, depth, "fast")
+    assert tuple(merged.counts().values()) == SEARCH_SHAPE[n]
+    assert len(caps) == KERNEL_CALLS[n]
     assert all(type(cap) is int for cap in caps)
+
+
+@needs_fast
+@pytest.mark.parametrize("depth", [0, 2])
+def test_the_maps_alone_set_the_filter_depth(monkeypatch, depth):
+    """Maps cut at 6 rather than AUTO_DEPTH filter the n=5 splits and jobs
+    down to 6 glued pairs, with no other depth in the way: fewer nodes,
+    more kernel calls, the same classes."""
+    sigs = census(5, backend="fast").signatures()
+    monkeypatch.setattr(search, "_MAPS", {
+        fp: _branch_maps(fp, autos, 6) for fp, autos in enumerate_pairings(5)})
+    caps = _kernel_caps(monkeypatch)
+    merged = _split_run_merge(5, depth, "fast")
+    assert tuple(merged.counts().values()) == (
+        524_034, 165_667, 91_033, 161_097, 6_583, 12_343)
+    assert len(caps) == 7_428
+    assert merged.signatures() == sigs
 
 
 @needs_fast
@@ -340,6 +365,9 @@ def test_corrupt_jobs_rejected(backend):
                              (0,) * 20)
     with pytest.raises(ValueError, match="prefix longer"):
         run_job(too_long, backend=backend)
+    # nor a prefix that glues every pair, even one that passes its checks
+    with pytest.raises(ValueError, match="^corrupt job: the prefix glues every pair$"):
+        run_job(parse_job(FULL_PREFIX_JOB), backend=backend)
     bad_perm = JobDescriptor(config, job.pairing_index, job.pairing, (23,))
     with pytest.raises(ValueError, match="permutation 23 invalid"):
         run_job(bad_perm, backend=backend)
@@ -366,6 +394,10 @@ def test_corrupt_jobs_rejected(backend):
         with pytest.raises(ValueError, match="maps the prefix to a smaller one"):
             run_job(JobDescriptor(config, index, fp, prefix), backend=backend)
 
+
+#: a job whose prefix is a complete gluing that passes every check
+FULL_PREFIX_JOB = ("n=2 mode=all level=2 index=0 | 2 ; 0.1 0.0 1.0 1.1 "
+                   "0.2 0.3 1.3 1.2 | 0=0:1 2=1:4 3=1:12 6=1:6")
 
 #: a canonical pairing of two tetrahedra each glued to itself
 DISCONNECTED_JOB = ("n=2 mode=all level=2 index=0 | "
@@ -461,6 +493,7 @@ MALFORMED_RESULTS = (
     lambda d: _set_row(d, ORIENT_COL, ["1;01010606"]),  # a size-1 signature
     lambda d: _set_row(d, NONOR_COL, ["2;0101101011110001"]),  # not glued back
     lambda d: {**d, "rows": {}},
+    lambda d: {**d, "rows": [*d["rows"], d["rows"][0]]},  # a row repeated
     lambda d: {**d, "jobs": [["0", []]]},
     lambda d: {**d, "jobs": [[0, [-1]]]},
     lambda d: {**d, "jobs": [[0, "12"]]},
