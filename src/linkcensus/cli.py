@@ -23,7 +23,7 @@ from math import factorial
 from typing import TYPE_CHECKING
 
 # decode_signature and serialize stay bound here for perfbench/tracer.py,
-# which patches them by name (ROADMAP item 1)
+# which patches them by name (ROADMAP item 3)
 from .core import ParseError, decode_signature, parse_table, serialize, signature_table
 from .fpg import enumerate_pairings, format_pairing, graph_summary
 from .search import (

@@ -11,7 +11,7 @@ The serialized form is one line:
     n ; t0f0 t0f1 t0f2 t0f3 ; t1f0 ... ; ...
 
 where each token is `-` (unglued) or `T:P` with T the destination
-tetrahedron and P the Perm4 index.  `serialize_human` renders the same
+tetrahedron and P the Perm4 index.  `from_human_rows` reads the same
 data in the letter/digit-triple style used for worked examples
 (`C:013` means "to tetrahedron C, sorted face vertices land on 0,1,3").
 
@@ -198,27 +198,6 @@ def parse_table(text: str) -> Triangulation:
 
 
 _TET_NAMES = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-
-
-def serialize_human(tri: Triangulation) -> str:
-    """Letter/triple rendering, one row per tetrahedron, for small examples."""
-    rows = []
-    for t in range(tri.n):
-        cells = []
-        for f in range(4):
-            s = 4 * t + f
-            if tri.adj[s] == -1:
-                cells.append("-")
-                continue
-            dt = tri.adj[s] // 4
-            images = PERM4_IMAGES[tri.perm[s]]
-            digits = "".join(str(images[v]) for v in FACE_VERTICES[f])
-            name = _TET_NAMES[dt] if dt < 26 else str(dt)
-            cells.append(f"{name}:{digits}")
-        rows.append(f"{_TET_NAMES[t] if t < 26 else t} | " + " | ".join(cells))
-    return "\n".join(rows)
-
-
 _CELL_RE = re.compile(r"^([A-Za-z]|\d+)\s*:\s*(\d)(\d)(\d)$")
 
 

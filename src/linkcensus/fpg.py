@@ -82,14 +82,14 @@ def is_connected(fp: Sequence[int]) -> bool:
     return len(seen) == len(fp) // 4
 
 
-def _roots(n: int) -> list[tuple[int, ...]]:
+def _roots(n: int) -> list[tuple]:
     """The scan's first branches: one per tetrahedron taking index 0."""
-    return [(0, 1, *(0 if t == start else -1 for t in range(n)), start,
-             *[-1] * (8 * n)) for start in range(n)]
+    return [(0, tuple(0 if t == start else -1 for t in range(n)), (start,),
+             (-1,) * (4 * n), (-1,) * (4 * n)) for start in range(n)]
 
 
 def _advance(fp: Sequence[int], limit: int,
-             branches: list[tuple[int, ...]]) -> list[tuple[int, ...]] | None:
+             branches: list[tuple]) -> list[tuple] | None:
     """Resume the relabelling scan's branches up to output position `limit`.
 
     Returns None when some relabelling makes the prefix fp[:limit]
@@ -108,19 +108,19 @@ def _advance(fp: Sequence[int], limit: int,
     so the values read stay valid as long as fp only gains pairs.  At
     limit 4n the tied branches are the relabellings that fix fp.
 
-    Each branch is one flat tuple: the position q, the number k of
-    tetrahedra indexed, then old tet -> new index, the k old tets in index
-    order, old slot -> new slot and new slot -> old slot (-1 where unset).
+    A branch is the position q followed by four tuples: old tet -> new
+    index, the old tets in index order, old slot -> new slot and new slot
+    -> old slot (-1 where unset).
     """
     n = len(fp) // 4
     tetmap: list[int] = []
     inv: list[int] = []
     smap: list[int] = []
     sinv: list[int] = []
-    suspended: list[tuple[int, ...]] = []
+    suspended: list[tuple] = []
 
     def suspend(q: int) -> None:
-        suspended.append((q, len(inv), *tetmap, *inv, *smap, *sinv))
+        suspended.append((q, tuple(tetmap), tuple(inv), tuple(smap), tuple(sinv)))
 
     def scan(q: int) -> bool:
         """True if some completion of the current relabelling beats fp."""
@@ -181,23 +181,17 @@ def _advance(fp: Sequence[int], limit: int,
                 return True
         return False
 
-    for b in branches:
-        k = b[1]
-        tetmap[:] = b[2:2 + n]
-        inv[:] = b[2 + n:2 + n + k]
-        smap[:] = b[2 + n + k:2 + 5 * n + k]
-        sinv[:] = b[2 + 5 * n + k:]
-        if scan(b[0]):
+    for q, tetmap[:], inv[:], smap[:], sinv[:] in branches:
+        if scan(q):
             return None
     return suspended
 
 
-def _moved(ties: list[tuple[int, ...]], n: int) -> list[Relabelling]:
-    """The complete relabellings among `ties` other than the identity, as
-    maps from old slot to new slot: a complete branch has indexed all n
-    tetrahedra, so its slot map starts at 2 + 2n."""
+def _moved(ties: list[tuple], n: int) -> list[Relabelling]:
+    """The slot maps of the complete relabellings among `ties` other than
+    the identity."""
     identity = tuple(range(4 * n))
-    return [m for m in [b[2 + 2 * n:2 + 6 * n] for b in ties] if m != identity]
+    return [b[3] for b in ties if b[3] != identity]
 
 
 def is_canonical(fp: Pairing) -> bool:
@@ -235,7 +229,7 @@ def enumerate_pairings(n: int) -> Iterator[tuple[Pairing, list[Relabelling]]]:
     total = 4 * n
     fp = [-1] * total
 
-    def extend(s: int, reached: int, branches: list[tuple[int, ...]]):
+    def extend(s: int, reached: int, branches: list[tuple]):
         """Pair the lowest unpaired slot at or after s; tetrahedra
         0..reached-1 are the ones the matching has reached, and
         `branches` the scan's branches suspended at fp's last node."""

@@ -160,6 +160,9 @@ def _totals(rows) -> dict[str, int]:
 
 #: a split job's id: its pairing index and gluing prefix
 JobId = tuple[int, tuple[int, ...]]
+#: a symmetry map of `_branch_maps`: one (source pair, image table) step
+#: per position
+Map = tuple[tuple[int, bytes], ...]
 
 
 class CensusResult(NamedTuple):
@@ -222,13 +225,13 @@ class JobDescriptor(NamedTuple):
 
 
 def _branch_maps(pairing: tuple[int, ...], autos: list[tuple[int, ...]],
-                 depth: int) -> tuple[bytes, ...]:
+                 depth: int) -> tuple[Map, ...]:
     """The pairing's automorphisms `autos` acting on gluing prefixes, cut
-    to their first `depth` positions, each as 25 bytes per position.
+    to their first `depth` positions, each as one step per position.
 
-    Map m sends gluing g to g' with g'[k] = m[25k + 1 + g[m[25k]]]: the
-    byte at 25k names the pair whose image lands at position k, the next
-    24 the image of each Perm4 index.  An automorphism a sends pair
+    Map m sends gluing g to g' with g'[k] = table[g[src]] for the step
+    (src, table) = m[k]: src is the pair whose image lands at position k,
+    and table the image of each Perm4 index.  An automorphism a sends pair
     (s1, s2) to the pair with lower slot min(a(s1), a(s2)) and gluing pi
     to rho_T2 . pi . rho_T1^-1, inverted when a swaps the two slots, where
     rho_t(v) = 3 - a(4t + 3 - v) % 4 relabels the vertices of tetrahedron
@@ -240,22 +243,21 @@ def _branch_maps(pairing: tuple[int, ...], autos: list[tuple[int, ...]],
     pairs = pairs_of(pairing)
     depth = min(depth, len(pairs))
     pair_of = {s: k for k, pair in enumerate(pairs) for s in pair}
-    identity = b"".join(bytes([k, *range(24)]) for k in range(depth))
+    fixed = bytes(range(24))
     maps = set()
     for a in autos:
         # rho_t of every tetrahedron t = s // 4; ~x & 3 is 3 - x % 4
         rho = [PERM4_INDEX[(~a[s + 3] & 3, ~a[s + 2] & 3, ~a[s + 1] & 3, ~a[s] & 3)]
                for s in range(0, len(a), 4)]
-        m = bytearray()
+        m = []
         for low, _ in pairs[:depth]:
             k = pair_of[a.index(low)]  # the pair a carries onto this position
             if k >= depth:
                 break
             s1, s2 = pairs[k]
-            m.append(k)
-            m += _image_table(rho[s1 >> 2], rho[s2 >> 2], a[s1] > a[s2])
-        if m != identity[:len(m)]:
-            maps.add(bytes(m))
+            m.append((k, _image_table(rho[s1 >> 2], rho[s2 >> 2], a[s1] > a[s2])))
+        if any(step != (k, fixed) for k, step in enumerate(m)):
+            maps.add(tuple(m))
     return tuple(sorted(maps))
 
 
@@ -271,37 +273,34 @@ def _image_table(rho1: int, rho2: int, swapped: bool) -> bytes:
 def _ties(prefix: tuple[int, ...], ties: list) -> list | None:
     """Advance the maps still tied with a shorter prefix over `prefix`.
 
-    A tie is a map and the offset of the first position it has not yet
-    compared; the root ties are every map at offset 0.  Positions are
-    compared in order: a smaller image drops the prefix (None), a larger
-    one or the end of the map discards the tie, and the tie stays parked
-    where the position or its source pair lies beyond the prefix.  So a
-    None verdict holds for every extension of the prefix, and a child of
-    the prefix only advances the returned ties."""
+    A tie is a map and the first position it has not yet compared; the
+    root ties are every map at position 0.  Positions are compared in
+    order: a smaller image drops the prefix (None), a larger one or the
+    end of the map discards the tie, and the tie stays parked where the
+    position or its source pair lies beyond the prefix.  So a None
+    verdict holds for every extension of the prefix, and a child of the
+    prefix only advances the returned ties."""
     d = len(prefix)
     kept = []
     for m, at in ties:
-        for at in range(at, min(len(m), 25 * d), 25):
-            src = m[at]
-            if src >= d:
+        for at in range(at, len(m)):
+            src, table = m[at]
+            if at >= d or src >= d:
                 kept.append((m, at))
                 break
-            image, own = m[at + 1 + prefix[src]], prefix[at // 25]
+            image, own = table[prefix[src]], prefix[at]
             if image != own:
                 if image < own:
                     return None
                 break
-        else:
-            if 25 * d < len(m):
-                kept.append((m, 25 * d))
     return kept
 
 
 #: each pairing's maps from `_maps`, built once per process
-_MAPS: dict[tuple[int, ...], tuple[bytes, ...]] = {}
+_MAPS: dict[tuple[int, ...], tuple[Map, ...]] = {}
 
 
-def _maps(pairing: tuple[int, ...], autos=None) -> tuple[bytes, ...]:
+def _maps(pairing: tuple[int, ...], autos=None) -> tuple[Map, ...]:
     """The pairing's maps cut at AUTO_DEPTH, built on first use from its
     automorphisms `autos`, or from `automorphisms(pairing)` when None."""
     if pairing not in _MAPS:
@@ -312,7 +311,7 @@ def _maps(pairing: tuple[int, ...], autos=None) -> tuple[bytes, ...]:
 
 
 def _search(eng, config: SearchConfig, index: int, pairing: tuple[int, ...],
-            prefix: tuple[int, ...], maps: tuple[bytes, ...],
+            prefix: tuple[int, ...], maps: tuple[Map, ...],
             cap: int) -> tuple[PairingRow, list]:
     """Search the tree of pairing `index` below `prefix`, filtered by the
     pairing's `maps`, down to `cap` glued pairs.  A prefix that a map

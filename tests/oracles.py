@@ -12,11 +12,11 @@ from __future__ import annotations
 import itertools
 import random
 
-from linkcensus.core import Triangulation
+from linkcensus.core import _TET_NAMES, Triangulation
 from linkcensus.dsu import Outcome, SignedDsu
 from linkcensus.fpg import is_canonical, is_connected
 from linkcensus.linktrack import GlueOutcome, LinkState
-from linkcensus.perms import GLUING_PERMS
+from linkcensus.perms import FACE_VERTICES, GLUING_PERMS, PERM4_IMAGES
 from linkcensus.skiplist import CyclicSkipList
 from linkcensus.validate import build_links, check_edges, is_3manifold
 
@@ -29,6 +29,26 @@ TORUS_LINK_ROWS = [
     ["A:013", "C:120", "C:231", "C:302"],
     ["B:301", "A:012", "B:231", "B:302"],
 ]
+
+
+def serialize_human(tri: Triangulation) -> str:
+    """Letter/triple rendering, one row per tetrahedron, the form that
+    `from_human_rows` reads (its cells split on `|`, after the name)."""
+    rows = []
+    for t in range(tri.n):
+        cells = []
+        for f in range(4):
+            s = 4 * t + f
+            if tri.adj[s] == -1:
+                cells.append("-")
+                continue
+            dt = tri.adj[s] // 4
+            images = PERM4_IMAGES[tri.perm[s]]
+            digits = "".join(str(images[v]) for v in FACE_VERTICES[f])
+            name = _TET_NAMES[dt] if dt < 26 else str(dt)
+            cells.append(f"{name}:{digits}")
+        rows.append(f"{_TET_NAMES[t] if t < 26 else t} | " + " | ".join(cells))
+    return "\n".join(rows)
 
 
 # -- signed relations ----------------------------------------------------------

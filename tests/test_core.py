@@ -21,12 +21,11 @@ from linkcensus.core import (
     relabel,
     sequence_signature,
     serialize,
-    serialize_human,
     signature_table,
     vertex_classes,
 )
 from linkcensus.perms import GLUING_PERMS, PERM4_INV, PERM4_SIGN
-from oracles import random_pairing
+from oracles import random_pairing, serialize_human
 
 
 def random_complete(rng: random.Random, n: int) -> Triangulation:

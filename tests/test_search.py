@@ -3,6 +3,7 @@
 import collections
 import functools
 import pickle
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import census, fast_backend_available, needs_fast
 from linkcensus import search
-from linkcensus.core import decode_signature, is_orientable
+from linkcensus.core import Triangulation, decode_signature, is_orientable, iso_signature
 from linkcensus.fpg import automorphisms, enumerate_pairings, pairs_of
 from linkcensus.perms import GLUING_PERMS
 from linkcensus.search import (
@@ -223,6 +224,9 @@ def test_search_shape_is_pinned(n):
 #: jobs run; n=5 at depths 0 and 2 are the census-n5 and jobs-n5 workloads
 KERNEL_CALLS = {4: 1_095, 5: 3_743}
 
+#: `_ties` calls of the same runs by (size, split depth): the filter's work
+TIES_CALLS = {(4, 0): 1_920, (4, 2): 1_969, (5, 0): 7_264, (5, 2): 7_405}
+
 
 def _kernel_caps(monkeypatch) -> list:
     """The `depth_cap` of every compiled-kernel call from now on."""
@@ -244,12 +248,20 @@ def test_every_kernel_call_has_a_depth_cap(monkeypatch, n, depth):
     """Splits and jobs alike pass the kernel an integer `depth_cap`; a job
     caps at the leaves, where both kernels count a leaf before they would
     write a frontier, so the calls and counters are those of a search
-    with no cap."""
+    with no cap.  The `_ties` calls pin the filter's work."""
     caps = _kernel_caps(monkeypatch)
+    prefixes = []
+
+    def counted_ties(prefix, tied):
+        prefixes.append(prefix)
+        return _ties(prefix, tied)
+
+    monkeypatch.setattr(search, "_ties", counted_ties)
     merged = _split_run_merge(n, depth, "fast")
     assert tuple(merged.counts().values()) == SEARCH_SHAPE[n]
     assert len(caps) == KERNEL_CALLS[n]
     assert all(type(cap) is int for cap in caps)
+    assert len(prefixes) == TIES_CALLS[n, depth]
 
 
 @needs_fast
@@ -284,7 +296,7 @@ def test_kernels_return_the_same_counters():
 
 
 @functools.cache
-def _full_depth_maps() -> list[tuple[tuple[int, ...], tuple[bytes, ...]]]:
+def _full_depth_maps() -> list[tuple[tuple[int, ...], tuple[search.Map, ...]]]:
     return [(fp, _branch_maps(fp, autos, 2 * n)) for n in (1, 2, 3, 4)
             for fp, autos in enumerate_pairings(n)]
 
@@ -303,6 +315,33 @@ def test_tie_cursor_matches_the_root_ties(data):
             ties = _ties(prefix, ties)
         least = _ties(prefix, [(m, 0) for m in maps]) is not None
         assert (ties is not None) == least, prefix
+
+
+def test_a_map_step_sends_a_gluing_to_an_isomorphic_one():
+    """Each map at full depth sends a complete gluing g to the gluing h
+    with h[k] = table[g[src]] for the step (src, table) at k: every h[k]
+    glues pair k, and h is the same triangulation as g up to relabelling.
+    The check reads only the map's steps, not how they were built."""
+    rng = random.Random(5)
+    for fp, maps in _full_depth_maps():
+        pairs = pairs_of(fp)
+        if len(pairs) > 6:
+            continue
+        for _ in range(5):
+            g = [rng.choice(GLUING_PERMS[s1 % 4][s2 % 4]) for s1, s2 in pairs]
+            for m in maps:
+                assert len(m) == len(pairs)
+                h = [table[g[src]] for src, table in m]
+                for (s1, s2), pi in zip(pairs, h):
+                    assert pi in GLUING_PERMS[s1 % 4][s2 % 4]
+                assert _gluing_signature(fp, g) == _gluing_signature(fp, h)
+
+
+def _gluing_signature(fp: tuple[int, ...], gluing: list[int]) -> str:
+    tri = Triangulation(len(fp) // 4)
+    for (s1, s2), pi in zip(pairs_of(fp), gluing):
+        tri.glue(s1, s2, pi)
+    return iso_signature(tri)
 
 
 def _least_gluings(n: int, backend: str) -> tuple[int, list[str]]:
