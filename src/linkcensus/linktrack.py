@@ -114,9 +114,10 @@ class LinkState:
         if self.cycles is not None:
             x = link_edge_id(t1, v1, f1)
             y = link_edge_id(t2, v2, f2)
-            if not self.cycles.same_cycle(x, y) and out is Outcome.REDUNDANT:
-                # distinct boundary cycles of one piece: gluing them would
-                # raise the genus, which can never come back down
+            if out is Outcome.REDUNDANT and not self.cycles.same_cycle(x, y):
+                # the corners already share a piece, so only now do the
+                # cycles matter: distinct boundary cycles of one piece would
+                # raise its genus, which can never come back down
                 return GlueOutcome.BAD_GENUS
             self.cycles.excise_pair(x, y, dirsign == 1)
         return GlueOutcome.OK

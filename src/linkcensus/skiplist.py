@@ -6,7 +6,10 @@ element are its two endpoints in the caller's sense, so a cycle carries
 no global direction: a traversal enters a node on one side and leaves by
 the other.  One sentinel per cycle, taller than every element, marks the
 arbitrary endpoint; `find_last` climbs towers toward it in expected
-logarithmic steps and `same_cycle` compares endpoints.
+logarithmic steps and `same_cycle` compares endpoints.  A cycle that
+vanishes or is merged away leaves its sentinel deleted, and a split
+allocates a fresh one: sentinels are never reused, and rollback drops
+the ones allocated after the mark.
 
 Element towers are drawn once from a seeded generator (promotion
 probability 1/2, capped at ceil(log2(count)) + 2) and never redrawn; a
@@ -37,7 +40,6 @@ class CyclicSkipList:
         # _lnk[node][level][side] = (other_node, other_side) or None
         self._lnk = [[[None, None] for _ in range(self._h[x])] for x in range(count)]
         self._live = [False] * count
-        self._sent_pool: list[int] = []
         self._journal: list[tuple] = []
 
     # -- basic queries ----------------------------------------------------
@@ -90,14 +92,8 @@ class CyclicSkipList:
             elif op == "l":
                 _, node, old = entry
                 self._live[node] = old
-            elif op == "sent-pop":
-                self._sent_pool.append(entry[1])
-            elif op == "sent-push":
-                assert self._sent_pool and self._sent_pool[-1] == entry[1]
-                self._sent_pool.pop()
             else:
-                assert op == "sent-new"
-                assert len(self._h) - 1 == entry[1]
+                assert op == "sent-new" and len(self._h) - 1 == entry[1]
                 self._h.pop()
                 self._lnk.pop()
                 self._live.pop()
@@ -139,10 +135,6 @@ class CyclicSkipList:
         return sent
 
     def _alloc_sentinel(self) -> int:
-        if self._sent_pool:
-            sid = self._sent_pool.pop()
-            self._journal.append(("sent-pop", sid))
-            return sid
         sid = len(self._h)
         self._h.append(self.maxh + 1)
         self._lnk.append([[None, None] for _ in range(self.maxh + 1)])
@@ -161,8 +153,7 @@ class CyclicSkipList:
             (a, sa), (b, sb) = self._lnk[x][level]
             if a == x:
                 continue  # alone at this level
-            self._set(a, level, sa, (b, sb))
-            self._set(b, level, sb, (a, sa))
+            self._link(a, sa, b, sb, level)
         self._set_live(x, False)
 
     def _gap_plugs(self, w: int, ws: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
@@ -228,9 +219,10 @@ class CyclicSkipList:
         `aligned` means side 0 of x is identified with side 0 of y (and 1
         with 1); otherwise sides cross.  Handles every degeneracy: the two
         nodes adjacent (one junction seals), a two-node cycle (both seal,
-        the cycle vanishes), and single-node cycles.  Sentinels of the
-        affected cycles are moved aside first and re-homed per resulting
-        cycle: merge retires one, split revives one and spawns another.
+        the cycle vanishes), and single-node cycles.  The sentinels of the
+        affected cycles are deleted first.  Each resulting cycle gets one
+        of them back, and the second cycle of a split a fresh one; the
+        sentinel of a cycle that vanished or was merged away stays deleted.
 
         Precondition: when x and y share a cycle, the identification must
         run against the traversal direction.  A parallel identification
@@ -250,7 +242,6 @@ class CyclicSkipList:
         (p, ps), (q, qs) = self._lnk[x][0]
         y0, y1 = (0, 1) if aligned else (1, 0)
         r, rs = self._lnk[y][0][y0]
-        s_, ss = self._lnk[y][0][y1]
         selfx = p == x
         selfy = r == y
         sealed0 = (p, ps) == (y, y0)
@@ -263,18 +254,12 @@ class CyclicSkipList:
         self.delete(x)
         self.delete(y)
 
-        if selfx and selfy:
-            self._retire(sx)
-            self._retire(sy)
-        elif selfx:
-            self._retire(sx)
+        if (selfx and selfy) or (sealed0 and sealed1):
+            return  # the cycles vanished, and their sentinels stay deleted
+        if selfx:
             self.insert(sy, r, rs)
         elif selfy:
-            if not same:
-                self._retire(sy)
             self.insert(sx, p, ps)
-        elif sealed0 and sealed1:
-            self._retire(sx)  # two-node cycle vanished
         elif sealed0:
             self.insert(sx, q, qs)
         elif sealed1:
@@ -284,12 +269,6 @@ class CyclicSkipList:
             self.insert(sx, p, ps)
             if same:
                 self.insert(self._alloc_sentinel(), q, qs)
-            else:
-                self._retire(sy)
-
-    def _retire(self, sentinel: int) -> None:
-        self._sent_pool.append(sentinel)
-        self._journal.append(("sent-push", sentinel))
 
     # -- debug / test support ----------------------------------------------
 
@@ -310,10 +289,9 @@ class CyclicSkipList:
         return out
 
     def structure_dump(self) -> tuple:
-        """Full structural state, frozen pointers and pools included."""
+        """Full structural state, frozen pointers included."""
         return (
             tuple(tuple(tuple(lv) for lv in node) for node in self._lnk),
             tuple(self._live),
-            tuple(self._sent_pool),
             tuple(self._h),
         )

@@ -56,7 +56,6 @@ def _corner_id(t: int, v: int, w: int) -> int:
 class LinkSurfaceReport:
     """Shape of the link surface of one vertex class."""
 
-    vertex_class: tuple[tuple[int, int], ...]
     triangles: int
     boundary_edges: int
     boundary_cycles: int
@@ -133,7 +132,6 @@ def build_links(tri: Triangulation) -> list[LinkSurfaceReport]:
         orientable = r0 != r1
         reports.append(
             LinkSurfaceReport(
-                vertex_class=tuple((tv // 4, tv % 4) for tv in tvs),
                 triangles=len(tvs),
                 boundary_edges=len(boundary),
                 boundary_cycles=len({boundary_uf.find(e) for e in boundary}),

@@ -63,8 +63,3 @@ def census(n: int, mode: str = "all", level: int = 2,
            backend: str | None = None) -> CensusResult:
     config = SearchConfig(n=n, mode=mode, level=level)
     return enumerate_census(config, backend=backend)
-
-
-@pytest.fixture(scope="session")
-def fast_available() -> bool:
-    return fast_backend_available()

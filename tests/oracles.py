@@ -14,9 +14,10 @@ import random
 
 from linkcensus.core import _TET_NAMES, Triangulation
 from linkcensus.dsu import Outcome, SignedDsu
-from linkcensus.fpg import is_canonical, is_connected
+from linkcensus.fpg import is_canonical, is_connected, pairs_of
 from linkcensus.linktrack import GlueOutcome, LinkState
 from linkcensus.perms import FACE_VERTICES, GLUING_PERMS, PERM4_IMAGES
+from linkcensus.search import _branch_maps, _ties
 from linkcensus.skiplist import CyclicSkipList
 from linkcensus.validate import build_links, check_edges, is_3manifold
 
@@ -443,6 +444,42 @@ def filtered_pairings(n):
 
     extend(-1)
     return sorted(found)
+
+
+def least_gluings(eng, n: int, pairing: tuple[int, ...],
+                  autos) -> tuple[int, list[str], list[str]]:
+    """One pairing's level-2 census, every prefix down to the complete
+    gluings filtered by the pairing's automorphisms.
+
+    Drives the kernel `eng` through its prefix and depth_cap contract,
+    one depth at a time, with `search`'s maps cut at full depth.  The
+    last pair is glued by replay: the kernel counts a leaf before it
+    would write a frontier there, and refuses a prefix that fails its
+    checks.  Returns the leaves and the orientable and nonorientable
+    signatures, each as often as a leaf gave it: with an exact filter
+    every leaf is a class of its own.
+    """
+    pairs = pairs_of(pairing)
+    maps = _branch_maps(pairing, autos, len(pairs))
+    level = [()]
+    for d in range(len(pairs) - 1):
+        level = [child for p in level for child in eng.search_pairing(
+            n, "all", 2, 0, pairing, prefix=p, depth_cap=d + 1)["frontier"]
+            if _ties(child, [(m, 0) for m in maps]) is not None]
+    leaves, orient, nonor = 0, [], []
+    s1, s2 = pairs[-1]
+    for p in level:
+        for pi in GLUING_PERMS[s1 % 4][s2 % 4]:
+            if _ties((*p, pi), [(m, 0) for m in maps]) is None:
+                continue
+            try:
+                raw = eng.search_pairing(n, "all", 2, 0, pairing, prefix=(*p, pi))
+            except ValueError:  # the kernel prunes it
+                continue
+            leaves += raw["leaves"]
+            orient += raw["orient_sigs"]
+            nonor += raw["nonor_sigs"]
+    return leaves, orient, nonor
 
 
 def random_pairing(n, rng):

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import linkcensus
-from conftest import census
+from conftest import census, needs_fast
 from linkcensus import cli, core, search
 from linkcensus.cli import lower_bound, main
 from linkcensus.core import (
@@ -293,6 +293,28 @@ def test_cli_import_leaves_heavy_modules_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, env=_src_env())
     assert proc.stdout.strip() == ""
+
+
+@needs_fast
+def test_fast_backend_commands_never_load_the_reference_stack(tmp_path):
+    """`census`, `jobs`, `run-job` and `merge` on the compiled kernel, run
+    as the benchmark runs them, import none of the pure-Python kernel's
+    modules: a change there cannot move a fast-backend measurement."""
+    reference = {"linkcensus._engine_py", "linkcensus.validate",
+                 "linkcensus.linktrack", "linkcensus.skiplist", "linkcensus.dsu"}
+    env = {**_src_env(), "LINKCENSUS_BACKEND": "fast"}
+    for argv in (["census", "--size", "3", "--sigs", "--out", "sigs.txt"],
+                 ["jobs", "--size", "3", "--depth", "2", "--out", "jobs.txt"],
+                 ["run-job", "--in", "jobs.txt", "--out", "result.json"],
+                 ["merge", "result.json", "--jobs", "jobs.txt", "--out", "out.txt"]):
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "linkcensus.cli", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                  if line.startswith("import time:")}
+        assert "linkcensus.search" in loaded and not loaded & reference, argv
+    assert (tmp_path / "out.txt").read_text().count("\n") == 81
 
 
 def _reversed_edge_table() -> str:

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from linkcensus.linktrack import GlueOutcome, LinkState
 from linkcensus.perms import GLUING_PERMS, LINK_EDGE_POS, link_edge_id
+from linkcensus.search import SearchConfig, enumerate_census
+from linkcensus.skiplist import CyclicSkipList
 from oracles import linkstate_fingerprint, linktrack_fuzz_trial
 
 
@@ -73,6 +75,24 @@ def test_token_discipline():
     # the first mark undoes both gluings at once
     ls.unglue_faces(mark1)
     assert linkstate_fingerprint(ls) == fresh
+
+
+def test_cycles_are_walked_only_where_the_corners_cannot_decide(monkeypatch):
+    """A link-edge gluing asks the skip list whether the two edges share a
+    cycle only once the corner union-find has put both in one piece: the
+    level-2 py census at n=2 then climbs towers 1,698 times, against
+    2,498 when every gluing walked both cycles first."""
+    calls = 0
+    find_last = CyclicSkipList.find_last
+
+    def counted(self, x, *args):
+        nonlocal calls
+        calls += 1
+        return find_last(self, x, *args)
+
+    monkeypatch.setattr(CyclicSkipList, "find_last", counted)
+    assert enumerate_census(SearchConfig(n=2), backend="py").total == 17
+    assert calls == 1698
 
 
 def test_fuzz_against_link_builder():

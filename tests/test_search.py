@@ -34,6 +34,7 @@ from linkcensus.search import (
 )
 from linkcensus.search import _KERNEL_COUNTERS, _branch_maps, _ties
 from linkcensus.validate import is_3manifold
+from oracles import least_gluings
 
 # manifold triangulation counts by size: (total, orientable, nonorientable)
 CENSUS_COUNTS = {
@@ -41,6 +42,7 @@ CENSUS_COUNTS = {
     2: (17, 16, 1),
     3: (81, 76, 5),
     4: (577, 532, 45),
+    5: (5184, 4807, 377),
 }
 
 BACKENDS = ["py"] + (["fast"] if fast_backend_available() else [])
@@ -344,43 +346,21 @@ def _gluing_signature(fp: tuple[int, ...], gluing: list[int]) -> str:
     return iso_signature(tri)
 
 
-def _least_gluings(n: int, backend: str) -> tuple[int, list[str]]:
-    """Leaves and signatures of a level-2 census whose every prefix, down
-    to the complete gluings, is filtered by the pairing's automorphisms,
-    driven through the kernel's prefix and depth_cap contract."""
-    eng = load_backend(backend)
-    leaves, sigs = 0, []
-    for fp, autos in enumerate_pairings(n):
-        pairs = pairs_of(fp)
-        maps = _branch_maps(fp, autos, len(pairs))
-        level = [()]
-        for d in range(len(pairs) - 1):
-            level = [child for p in level for child in eng.search_pairing(
-                n, "all", 2, 0, fp, prefix=p, depth_cap=d + 1)["frontier"]
-                if _ties(child, [(m, 0) for m in maps]) is not None]
-        # the last pair by replay: the kernel counts a leaf before it
-        # would write a frontier there
-        s1, s2 = pairs[-1]
-        for p in level:
-            for pi in GLUING_PERMS[s1 % 4][s2 % 4]:
-                if _ties((*p, pi), [(m, 0) for m in maps]) is None:
-                    continue
-                try:
-                    raw = eng.search_pairing(n, "all", 2, 0, fp, prefix=(*p, pi))
-                except ValueError:  # the kernel prunes it
-                    continue
-                leaves += raw["leaves"]
-                sigs += raw["orient_sigs"] + raw["nonor_sigs"]
-    return leaves, sigs
-
-
 @pytest.mark.parametrize("backend,n", [("py", n) for n in (1, 2, 3)] + [
-    pytest.param("fast", n, marks=needs_fast) for n in (1, 2, 3, 4)])
+    pytest.param("fast", n, marks=needs_fast) for n in (1, 2, 3, 4, 5)])
 def test_full_depth_filter_keeps_one_gluing_per_class(backend, n):
-    """Filtered at every depth, each isomorphism class is reached once."""
-    leaves, sigs = _least_gluings(n, backend)
-    assert leaves == len(sigs) == CENSUS_COUNTS[n][0]
-    assert sorted(sigs) == census(n).signatures()
+    """Filtered at every depth, each isomorphism class is reached once:
+    per pairing, every leaf is kept and gives a signature no other leaf
+    gives, and together the pairings give the census."""
+    eng = load_backend(backend)
+    orient, nonor = [], []
+    for fp, autos in enumerate_pairings(n):
+        leaves, o, no = least_gluings(eng, n, fp, autos)
+        assert leaves == len(o) + len(no) == len(set(o + no)), fp
+        orient += o
+        nonor += no
+    assert (len(orient) + len(nonor), len(orient), len(nonor)) == CENSUS_COUNTS[n]
+    assert sorted(orient + nonor) == census(n).signatures()
 
 
 @needs_fast

@@ -44,10 +44,20 @@ def test_excise_merges_distinct_cycles():
     sl = CyclicSkipList(6, seed=3)
     sl.make_cycle([(0, 0), (1, 0), (2, 0)])
     sl.make_cycle([(3, 0), (4, 0), (5, 0)])
+    mark, dump, walks = sl.checkpoint(), sl.structure_dump(), sl.cycles()
     sl.excise_pair(0, 3, _pick_legal_alignment(sl, 0, 3))
     assert sl.same_cycle(1, 4)
     assert not sl.in_cycle(0) and not sl.in_cycle(3)
     assert len(sl.cycles()) == 1
+    # then split the merged 4-cycle at two opposite nodes
+    (walk,) = sl.cycles()
+    x, y = walk[0][0], walk[2][0]
+    sl.excise_pair(x, y, _pick_legal_alignment(sl, x, y))
+    assert len(sl.cycles()) == 2
+    assert not sl.same_cycle(walk[1][0], walk[3][0])
+    sl.rollback(mark)
+    assert sl.structure_dump() == dump
+    assert sl.cycles() == walks
 
 
 def test_excise_splits_one_cycle():
