@@ -1,14 +1,15 @@
 """Command-line surface.
 
 Subcommands: census, fpg, jobs, run-job, merge, bench, validate, bound.
-Every census runs as jobs: `census` splits the search at `--depth`, runs
-the jobs in process (or in a pool of `--threads` workers) and merges
-them; `jobs`, `run-job` and `merge` do the same across separate
-processes.  Each merge is given the jobs it covers (`merge` reads them
-from the jobs file), so it counts every job exactly once.  Flag
+Every census runs as jobs: `census` runs one job per canonical pairing,
+in process (or in a pool of `--threads` workers), and merges them;
+`jobs`, `run-job` and `merge` do the same across separate processes, at
+any split depth.  Each merge is given the jobs it covers (`merge` reads
+them from the jobs file), so it counts every job exactly once.  Flag
 conventions are shared across subcommands; `LINKCENSUS_BACKEND` picks
-the engine.  Exit codes: 0 success, 1 internal contract violation (with
-a diagnostic on stderr), 2 usage error, 130 interrupted by Ctrl-C.
+the engine, for `bench` too.  Exit codes: 0 success, 1 internal
+contract violation (with a diagnostic on stderr), 2 usage error, 130
+interrupted by Ctrl-C.
 """
 
 from __future__ import annotations
@@ -94,8 +95,8 @@ def _emit_result(result: CensusResult, args, out, stats) -> None:
     print(summary_line(result))
 
 
-def _run_census(config: SearchConfig, depth: int, threads: int) -> CensusResult:
-    jobs, partial = split_jobs(config, depth)
+def _run_census(config: SearchConfig, threads: int) -> CensusResult:
+    jobs, partial = split_jobs(config, 0)
     if threads > 1:
         # imported here: loading multiprocessing slows every other command
         from concurrent.futures import ProcessPoolExecutor
@@ -123,8 +124,7 @@ def _cmd_census(args) -> int:
     config = _config(args)
     # opened before the search: a bad path must not cost a whole census
     with _result_files(args) as (out, stats):
-        _emit_result(_run_census(config, args.depth, args.threads),
-                     args, out, stats)
+        _emit_result(_run_census(config, args.threads), args, out, stats)
     return 0
 
 
@@ -207,29 +207,12 @@ def _cmd_bench(args) -> int:
         timed[config.level] = (result, wall)
         print(",".join(map(str, (config.level, *result.counts().values(),
                                  result.total, f"{wall:.3f}"))))
-    kept = {lvl: sorted(res.signatures()) for lvl, (res, _) in timed.items()}
-    if len(set(map(tuple, kept.values()))) != 1:
+    if len({tuple(sorted(res.signatures())) for res, _ in timed.values()}) != 1:
         raise AssertionError("pruning levels disagree on the census output")
     r1, w1 = timed[1]
     r2, w2 = timed[2]
     print(f"speedup level2-vs-level1: nodes {r1.nodes / r2.nodes:.2f}x "
           f"time {w1 / max(w2, 1e-9):.2f}x")
-    if args.backends:
-        line = []
-        for backend in ("py", "fast"):
-            try:
-                eng = load_backend(backend)
-            except RuntimeError:
-                continue
-            t0 = time.perf_counter()
-            res = enumerate_census(configs[-1], backend=backend)
-            wall = time.perf_counter() - t0
-            if res.signatures() != kept[2]:
-                raise AssertionError(f"backend {backend} disagrees on the census")
-            line.append((eng.BACKEND_NAME, wall))
-        print("backend-walls: " + " ".join(f"{b}={w:.3f}s" for b, w in line))
-        if len(line) == 2:
-            print(f"backend-speedup: {line[0][1] / max(line[1][1], 1e-9):.2f}x")
     return 0
 
 
@@ -302,9 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="enumerate triangulations")
     _add_census_flags(p)
     p.add_argument("--out", metavar="PATH", default=None)
-    p.add_argument("--depth", type=_at_least(0), default=0, metavar="D",
-                   help="glued pairs above each job (default 0: one job "
-                   "per pairing)")
     p.add_argument("--threads", type=_at_least(1), default=1, metavar="T")
     p.add_argument("--sigs", action="store_true",
                    help="emit signatures instead of gluing tables")
@@ -343,8 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="compare pruning levels")
     p.add_argument("--size", type=int, required=True, metavar="N")
     p.add_argument("--mode", choices=MODES, default="all")
-    p.add_argument("--backends", action="store_true",
-                   help="also compare the compiled and pure-Python engines")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("validate", help="check serialized triangulations")

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import os
+from itertools import chain, islice
 from typing import NamedTuple
 
 from .core import ParseError, decode_signature
@@ -430,9 +431,11 @@ def merge(results: list[CensusResult], jobs: list[JobDescriptor]) -> CensusResul
     no result covers anything else, and at most one result, the split's
     partial, covers no job: a job list with one job inside another's
     subtree (parts of splits at two depths), a job covered twice, a job
-    with no result, a result for a job not in the list and a second
-    result with no job (the partial given twice) would each make the
-    counts wrong.
+    with no result, a result for a job not in the list, a second result
+    with no job (the partial given twice) and a result's row for a
+    pairing none of its jobs is in would each make the counts wrong.  A
+    class held twice also raises: a triangulation fixes its face pairing
+    and its orientability.
     """
     if not results:
         raise ValueError("nothing to merge")
@@ -463,7 +466,11 @@ def merge(results: list[CensusResult], jobs: list[JobDescriptor]) -> CensusResul
                          "file: " + _name_jobs(extra))
     by_index: dict[int, list[PairingRow]] = {}
     for res in results:
+        covered = {index for index, _ in res.jobs}
         for row in res.rows:
+            if covered and row.index not in covered:
+                raise ValueError(f"a result holds a row for pairing {row.index},"
+                                 " which none of its jobs is in")
             by_index.setdefault(row.index, []).append(row)
     rows = []
     for index in sorted(by_index):
@@ -476,6 +483,14 @@ def merge(results: list[CensusResult], jobs: list[JobDescriptor]) -> CensusResul
         rows.append(PairingRow(index, **_totals(group),
                                orient_sigs=tuple(sorted(orient)),
                                nonor_sigs=tuple(sorted(nonor))))
+    # sorted runs merge cheaply, and a list costs less than a set per class
+    sigs = sorted(chain.from_iterable(r.orient_sigs + r.nonor_sigs for r in rows))
+    twice = next((a for a, b in zip(sigs, islice(sigs, 1, None)) if a == b), None)
+    if twice is not None:
+        held = [r.index for r in rows for part in (r.orient_sigs, r.nonor_sigs)
+                if twice in part]
+        raise ValueError(f"class {twice} is held twice, by pairings "
+                         f"{held[0]} and {held[1]}")
     return CensusResult(config, tuple(rows), tuple(sorted(got)))
 
 

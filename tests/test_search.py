@@ -4,6 +4,7 @@ import collections
 import functools
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -679,6 +680,28 @@ def test_merge_counts_every_job_exactly_once(homes):
     if covered:
         with pytest.raises(ValueError, match="not in the jobs file"):
             merge([partial] + parts, covered[1:])
+
+
+def test_merge_refuses_rows_no_job_could_have_written():
+    """A result that covers jobs holds rows for their pairings only (the
+    split's partial covers none and holds them all), and no class is held
+    twice, since a triangulation fixes its face pairing and its
+    orientability."""
+    jobs, partial, results = _n3_jobs()
+    k = next(k for k, res in enumerate(results) if res.rows[0].index == 3)
+    row = results[k].rows[0]
+    sig1, sig3 = (census(3).rows[index].orient_sigs[0] for index in (1, 3))
+    outside = "a result holds a row for pairing {}, which none of its jobs is in"
+    twice = "class {} is held twice, by pairings {} and 3"
+    for bad, error in ((row._replace(index=2), outside.format(2)),
+                       (row._replace(index=9), outside.format(9)),
+                       (row._replace(orient_sigs=row.orient_sigs + (sig1,)),
+                        twice.format(sig1, 1)),
+                       (row._replace(nonor_sigs=row.nonor_sigs + (sig3,)),
+                        twice.format(sig3, 3))):
+        tampered = results[k]._replace(rows=(bad,))
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            merge([partial, *results[:k], tampered, *results[k + 1:]], jobs)
 
 
 def test_merge_validation():
