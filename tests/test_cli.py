@@ -80,7 +80,9 @@ def test_census_out_and_stats_files(tmp_path, capsys):
     assert len(stats) == 1 + len(census(2).rows)
 
 
-@pytest.mark.parametrize("extra", [[], ["--threads", "2"]])
+# The ids are those the cases had when the list also held census --depth cases.
+@pytest.mark.parametrize("extra", [pytest.param([], id="extra0"),
+                                   pytest.param(["--threads", "2"], id="extra2")])
 def test_census_split_paths_match(tmp_path, capsys, extra):
     out_path = tmp_path / "out.txt"
     stats_path = tmp_path / "stats.csv"
