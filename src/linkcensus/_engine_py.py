@@ -44,7 +44,7 @@ def search_pairing(n: int, mode: str, level: int, seed: int,
     branches = [GLUING_PERMS[s1 % 4][s2 % 4] for s1, s2 in pairs]
     tri = Triangulation(n)
     adj, gl = tri.adj, tri.perm
-    ls = LinkState(n, level=level, seed=seed) if level >= 1 else None
+    ls = LinkState(n, level=level) if level >= 1 else None
     signs = SignedDsu(n) if mode == "orientable" else None
     chosen = [0] * total
 

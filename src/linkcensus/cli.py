@@ -217,7 +217,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    from .validate import build_links, check_edges
+    from .validate import defects
 
     bad_parse = False
     for k, line in enumerate(_read_lines(getattr(args, "in"))):
@@ -234,18 +234,8 @@ def _cmd_validate(args) -> int:
             open_faces = sum(1 for d in tri.adj if d == -1)
             print(f"{k}: incomplete ({open_faces} unglued faces)")
             continue
-        reasons = []
-        bad_edges = check_edges(tri)
-        if bad_edges:
-            reasons.append(f"{len(bad_edges)} reversed edge class(es)")
-        links = build_links(tri)
-        nonsphere = sum(1 for r in links if not r.is_sphere)
-        if nonsphere:
-            reasons.append(f"{nonsphere} non-sphere link(s)")
-        if reasons:
-            print(f"{k}: not a 3-manifold: " + "; ".join(reasons))
-        else:
-            print(f"{k}: manifold")
+        reasons = "; ".join(defects(tri))
+        print(f"{k}: not a 3-manifold: {reasons}" if reasons else f"{k}: manifold")
     return 1 if bad_parse else 0
 
 
@@ -270,9 +260,7 @@ def lower_bound(n: int) -> Fraction:
 
 def _cmd_bound(args) -> int:
     value = lower_bound(args.size)
-    exact = str(value.numerator) if value.denominator == 1 else (
-        f"{value.numerator}/{value.denominator}")
-    print(f"bound({args.size}) = {exact} ~= {_sci(value)}")
+    print(f"bound({args.size}) = {value} ~= {_sci(value)}")
     return 0
 
 

@@ -97,13 +97,6 @@ class LinkState:
             self.cycles.checkpoint() if self.cycles is not None else 0,
         )
 
-    def _restore(self, mark) -> None:
-        e_mark, t_mark, c_mark = mark
-        self.edge_cls.rollback(e_mark)
-        self.tri_cls.rollback(t_mark)
-        if self.cycles is not None:
-            self.cycles.rollback(c_mark)
-
     def _link_glue(self, t1: int, v1: int, f1: int, t2: int, v2: int, f2: int,
                    dirsign: int) -> GlueOutcome:
         """One link-edge gluing; assumes a caller-held mark covers rollback."""
@@ -143,7 +136,7 @@ class LinkState:
                 ia, ib = ib, ia
             out = self.edge_cls.union(6 * t1 + e, 6 * t2 + EDGE_INDEX[(ia, ib)], rel)
             if out is Outcome.CONFLICT:
-                self._restore(mark)
+                self.unglue_faces(mark)
                 return GlueOutcome.BAD_EDGE, None
 
         for v in FACE_VERTICES[f1]:
@@ -152,7 +145,7 @@ class LinkState:
             dirsign = 1 if images[a] < images[b] else -1
             out = self._link_glue(t1, v, f1, t2, w, f2, dirsign)
             if out is not GlueOutcome.OK:
-                self._restore(mark)
+                self.unglue_faces(mark)
                 return out, None
 
         return GlueOutcome.OK, mark
@@ -160,4 +153,8 @@ class LinkState:
     def unglue_faces(self, mark: tuple) -> None:
         """Restore the state at `mark`, as glue_faces returned it: that
         gluing and every later one are undone."""
-        self._restore(mark)
+        e_mark, t_mark, c_mark = mark
+        self.edge_cls.rollback(e_mark)
+        self.tri_cls.rollback(t_mark)
+        if self.cycles is not None:
+            self.cycles.rollback(c_mark)

@@ -14,8 +14,9 @@ the ones allocated after the mark.
 Element towers are drawn once from a seeded generator (promotion
 probability 1/2, capped at ceil(log2(count)) + 2) and never redrawn; a
 removed element keeps its frozen tower so re-linking it on undo is exact.
-All mutations funnel through a single write-log, which makes
-rollback(mark) restore the precise earlier structure.
+`splice` cross-joins two gaps, merging or splitting cycles; `insert`
+splices in a one-node cycle.  One write-log takes every mutation, so
+rollback(mark) restores the precise earlier structure.
 """
 
 from __future__ import annotations
@@ -178,19 +179,14 @@ class CyclicSkipList:
 
     def insert(self, x: int, w: int, ws: int) -> None:
         """Insert free node x into the gap beyond (w, ws), its side 0
-        toward w."""
+        toward w: x becomes a one-node cycle, spliced into w's."""
         if self._live[x]:
             raise ValueError(f"node {x} is already in a cycle")
         if not self._live[w]:
             raise ValueError(f"anchor {w} is not in a cycle")
-        plugs = self._gap_plugs(w, ws)
         for level in range(self._h[x]):
-            if level < len(plugs):
-                (n1, s1), (n2, s2) = plugs[level]
-                self._link(n1, s1, x, 0, level)
-                self._link(x, 1, n2, s2, level)
-            else:
-                self._link(x, 0, x, 1, level)
+            self._link(x, 0, x, 1, level)
+        self.splice(w, ws, x, 0)
         self._set_live(x, True)
 
     def splice(self, u: int, us: int, v: int, vs: int) -> None:

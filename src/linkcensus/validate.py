@@ -9,10 +9,12 @@ thousands of randomized cases, a shared systematic bug is unlikely.
 boundary cycles, and one signed closure, `core.sign_classes`, answers
 every sign question: edge direction (`check_edges`, through
 `edge_classes`), tetrahedron orientability (`is_orientable`) and the
-link pieces with their orientability (`build_links`).  Only the
-numbering conventions of `perms` are shared (faces, edges, link edges
-and their arrows): a copy of a convention would agree with it by
-construction, so it adds no check.
+link pieces with their orientability (`build_links`).  `defects` yields
+the reasons a complete table is not a 3-manifold, cheapest first, and
+`is_3manifold` stops at the first.  Only the numbering conventions of
+`perms` (faces, edges, link edges and their arrows) and the gluing walk
+`core._gluings` are shared: a copy of a convention would agree with it
+by construction, so it adds no check.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 from .core import (
     Triangulation,
     UnionFind,
+    _gluings,
     edge_classes,
     is_orientable,
     relabel,
@@ -35,7 +38,6 @@ from .perms import (
     FACES_AT_VERTEX,
     GLUING_PERMS,
     LINK_ALONG,
-    PERM4_IMAGES,
     link_edge_id,
 )
 
@@ -85,11 +87,8 @@ def build_links(tri: Triangulation) -> list[LinkSurfaceReport]:
     glued: set[int] = set()  # link edge ids
     relations = []  # (triangle, triangle, sign) for `sign_classes`
 
-    for s, d in enumerate(tri.adj):
-        if d < s:  # unglued, or met from its other slot
-            continue
+    for s, d, images in _gluings(tri):
         t1, f1, t2, f2 = s // 4, s % 4, d // 4, d % 4
-        images = PERM4_IMAGES[tri.perm[s]]
         # each glued face pair identifies three link edges, one per vertex
         for v1 in FACE_VERTICES[f1]:
             v2 = images[v1]
@@ -154,14 +153,24 @@ def check_edges(tri: Triangulation) -> list[list[tuple[int, int]]]:
     return [members for members, directable in edge_classes(tri) if not directable]
 
 
-def is_3manifold(tri: Triangulation) -> bool:
-    """Complete triangulation test: every vertex link a 2-sphere and no
-    edge identified with itself reversed."""
+def defects(tri: Triangulation):
+    """Why a complete triangulation is not a 3-manifold, cheapest first:
+    edge classes identified with themselves reversed, then vertex links
+    that are not 2-spheres.  Yields nothing for a 3-manifold."""
     if not tri.is_complete():
         raise ValueError("is_3manifold needs a complete triangulation")
-    if check_edges(tri):
-        return False
-    return all(r.is_sphere for r in build_links(tri))
+    bad_edges = check_edges(tri)
+    if bad_edges:
+        yield f"{len(bad_edges)} reversed edge class(es)"
+    nonsphere = sum(1 for r in build_links(tri) if not r.is_sphere)
+    if nonsphere:
+        yield f"{nonsphere} non-sphere link(s)"
+
+
+def is_3manifold(tri: Triangulation) -> bool:
+    """Complete triangulation test: every vertex link a 2-sphere and no
+    edge identified with itself reversed.  Stops at the first defect."""
+    return next(defects(tri), None) is None
 
 
 def _all_pairings(n: int):

@@ -364,8 +364,9 @@ def test_validate_verdicts(tmp_path, capsys):
     lines = out.splitlines()
     assert lines[0] == "0: manifold"
     assert lines[1] == "1: not a 3-manifold: 1 non-sphere link(s)"
-    assert lines[2].startswith("2: not a 3-manifold:")
-    assert "reversed edge class(es)" in lines[2]
+    # both defects are named, though the verdict alone stops at the first
+    assert lines[2] == ("2: not a 3-manifold: 1 reversed edge class(es); "
+                        "1 non-sphere link(s)")
     assert lines[3] == "3: incomplete (4 unglued faces)"
     assert len(lines) == 4
 
@@ -468,6 +469,20 @@ def test_contract_violations_exit_one(tmp_path, capsys):
     rc, out, err = run_cli(capsys, "run-job", "--in", str(jobs))
     assert (rc, out) == (1, "")
     assert err.splitlines() == ["error: corrupt job: the prefix glues every pair"]
+    # a pairing of the wrong size, a Perm4 index that does not carry the
+    # face, and a file holding only the partial header
+    pairing = "1 ; 0.1 0.0 0.3 0.2"  # slot 0 (face 0) glued to face 1
+    off_face = next(pi for pi in range(24) if pi not in GLUING_PERMS[0][1])
+    assert head.startswith("# partial ")
+    for text, message in (
+            (f"n=2 mode=all level=2 index=0 | {pairing} |",
+             "pairing size disagrees with config"),
+            (f"n=1 mode=all level=2 index=0 | {pairing} | 0=0:{off_face}",
+             f"prefix token '0=0:{off_face}' is not a face gluing"),
+            (head, "no job lines found")):
+        jobs.write_text(text + "\n")
+        rc, out, err = run_cli(capsys, "run-job", "--in", str(jobs))
+        assert (rc, out, err) == (1, "", f"error: {message}\n"), text
 
 
 def test_run_job_refuses_a_symmetric_copy(tmp_path, capsys):

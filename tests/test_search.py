@@ -599,6 +599,11 @@ def test_job_line_rejects_tampering():
                   "| 0=0:1 2=0:6 2=0:6")
 
 
+def test_split_jobs_refuses_a_negative_depth():
+    with pytest.raises(ValueError, match="split depth must be nonnegative"):
+        split_jobs(SearchConfig(n=2), -1)
+
+
 @functools.lru_cache(maxsize=None)
 def _n2_job_lines() -> list[str]:
     return [format_job(job) for job in split_jobs(SearchConfig(n=2), 2)[0]]

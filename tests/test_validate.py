@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import linkcensus
+from linkcensus import validate
 from linkcensus.core import (
     Triangulation,
     edge_classes,
@@ -83,6 +84,19 @@ def test_check_edges_finds_reversal():
 def test_is_3manifold_requires_complete():
     with pytest.raises(ValueError):
         is_3manifold(Triangulation(1))
+
+
+def test_is_3manifold_stops_at_the_first_defect(monkeypatch):
+    """A reversed edge class decides the verdict before any link is built."""
+    def no_links(tri):
+        raise AssertionError("links built after the first defect")
+
+    monkeypatch.setattr(validate, "build_links", no_links)
+    tri = Triangulation(1)
+    tri.glue(0, 1, GLUING_PERMS[0][1][2])
+    tri.glue(2, 3, GLUING_PERMS[2][3][0])
+    assert tri.is_complete() and check_edges(tri)
+    assert not is_3manifold(tri)
 
 
 def test_brute_census_smallest():
