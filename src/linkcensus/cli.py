@@ -23,8 +23,8 @@ import time
 from math import factorial
 from typing import TYPE_CHECKING
 
-# decode_signature and serialize stay bound here for perfbench/tracer.py,
-# which patches them by name (ROADMAP item 3)
+# serialize stays bound here for perfbench/tracer.py, which patches it
+# by name (ROADMAP item 3)
 from .core import ParseError, decode_signature, parse_table, serialize, signature_table
 from .fpg import enumerate_pairings, format_pairing, graph_summary
 from .search import (
@@ -148,6 +148,7 @@ def _cmd_jobs(args) -> int:
                                             separators=(",", ":")) + "\n")
         for job in jobs:
             out.write(format_job(job) + "\n")
+        out.write(f"# jobs {len(jobs)}\n")
     return 0
 
 
@@ -179,15 +180,29 @@ def _cmd_merge(args) -> int:
     head, *lines = _read_lines(args.jobs) or [""]
     if not head.startswith("# partial "):
         raise ValueError(f"{args.jobs} has no partial-result header")
+    texts = _job_lines(lines)
+    trailer = lines[-1] if lines else ""
+    if not trailer.startswith("# jobs "):
+        raise ValueError(f"{args.jobs} holds {len(texts)} job lines and no "
+                         "'# jobs N' trailer: it was cut short, or written "
+                         "before jobs files had one; split the census again")
+    if trailer != f"# jobs {len(texts)}":
+        raise ValueError(f"{args.jobs} holds {len(texts)} job lines, but its "
+                         f"trailer counts {trailer[len('# jobs '):]}")
     results = [result_from_dict(json.loads(head[len("# partial "):]))]
-    jobs = [parse_job(line) for line in _job_lines(lines)]
+    jobs = [parse_job(line) for line in texts]
     for path in args.results:
         with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    results.append(result_from_dict(json.loads(line)))
+            results += (result_from_dict(json.loads(ln)) for ln in fh if ln.strip())
     result = merge(results, jobs)
+    # each class once, after the union, and before any output is opened
+    for row in result.rows:
+        for sig in row.orient_sigs + row.nonor_sigs:
+            try:
+                if decode_signature(sig).n != result.config.n:
+                    raise ParseError(f"size is not n={result.config.n}")
+            except ParseError as e:
+                raise ValueError(f"malformed result: signature {sig!r}: {e}") from None
     with _result_files(args) as (out, stats):
         _emit_result(result, args, out, stats)
     return 0

@@ -7,6 +7,8 @@ iterating canonical pairings, collecting per-pairing rows, splitting the
 tree into replayable jobs, and merging partial results exactly.
 `merge(results, jobs)` is the one place that checks the split was run
 exactly once: every job of the list covered by one result, nothing else.
+Signatures are opaque here: sorted, unioned and counted, never read; the
+`merge` command decodes each class once, after the union.
 
 Above both kernels sits one piece of search: isomorph rejection by the
 pairing's automorphisms (Burton, "Enumeration of non-orientable
@@ -42,10 +44,9 @@ from __future__ import annotations
 
 import functools
 import os
-from itertools import chain, islice
+from itertools import islice
 from typing import NamedTuple
 
-from .core import ParseError, decode_signature
 from .fpg import (
     automorphisms,
     enumerate_pairings,
@@ -435,7 +436,7 @@ def merge(results: list[CensusResult], jobs: list[JobDescriptor]) -> CensusResul
     with no job (the partial given twice) and a result's row for a
     pairing none of its jobs is in would each make the counts wrong.  A
     class held twice also raises: a triangulation fixes its face pairing
-    and its orientability.
+    and its orientability.  Signatures are compared as strings only.
     """
     if not results:
         raise ValueError("nothing to merge")
@@ -483,15 +484,16 @@ def merge(results: list[CensusResult], jobs: list[JobDescriptor]) -> CensusResul
         rows.append(PairingRow(index, **_totals(group),
                                orient_sigs=tuple(sorted(orient)),
                                nonor_sigs=tuple(sorted(nonor))))
-    # sorted runs merge cheaply, and a list costs less than a set per class
-    sigs = sorted(chain.from_iterable(r.orient_sigs + r.nonor_sigs for r in rows))
+    merged = CensusResult(config, tuple(rows), tuple(sorted(got)))
+    # neighbours in the sorted classes: a list costs less than a set per class
+    sigs = merged.signatures()
     twice = next((a for a, b in zip(sigs, islice(sigs, 1, None)) if a == b), None)
     if twice is not None:
         held = [r.index for r in rows for part in (r.orient_sigs, r.nonor_sigs)
                 if twice in part]
         raise ValueError(f"class {twice} is held twice, by pairings "
                          f"{held[0]} and {held[1]}")
-    return CensusResult(config, tuple(rows), tuple(sorted(got)))
+    return merged
 
 
 def summary_line(result: CensusResult) -> str:
@@ -541,9 +543,9 @@ def _is_job(job) -> bool:
 
 
 def result_from_dict(data: dict) -> CensusResult:
-    """Inverse of result_to_dict.  Anything it could not have written,
-    down to a signature that does not decode to a triangulation of the
-    configured size, raises ValueError before any of it is used."""
+    """Inverse of result_to_dict.  A shape it could not have written
+    raises ValueError before any of it is used; signatures are only
+    checked to be strings."""
     if not isinstance(data, dict) or not {"config", "rows"} <= set(data):
         raise ValueError("a result must be an object with jobs, config and rows")
     config = data["config"]
@@ -567,18 +569,10 @@ def result_from_dict(data: dict) -> CensusResult:
     if not _is_list_of(data["jobs"], _is_job):
         raise ValueError("malformed result: jobs must be [index, prefix] "
                          "pairs of non-negative integers")
-    config = SearchConfig(**config)
-    for *_, orient, nonor in data["rows"]:
-        for sig in orient + nonor:
-            try:
-                if decode_signature(sig).n != config.n:
-                    raise ParseError(f"size is not n={config.n}")
-            except ParseError as e:
-                raise ValueError(f"malformed result: signature {sig!r}: {e}") from None
     rows = tuple(PairingRow(*ints, tuple(orient), tuple(nonor))
                  for *ints, orient, nonor in data["rows"])
     jobs = tuple((index, tuple(prefix)) for index, prefix in data["jobs"])
-    return CensusResult(config, rows, jobs)
+    return CensusResult(SearchConfig(**config), rows, jobs)
 
 
 def format_job(job: JobDescriptor) -> str:

@@ -1,4 +1,5 @@
-"""Shared fixtures: backend availability and cached census runs.
+"""Shared fixtures: backend availability, cached census runs and an
+import scan.
 
 When `linkcensus` is imported from this checkout's `src/`, the session
 first builds the compiled kernel in place (`python setup.py build_ext
@@ -7,6 +8,7 @@ does not stop collection; its output is kept in `ENGINE_BUILD_LOG` so
 that tests which need the kernel can show it.
 """
 
+import ast
 import functools
 import importlib.util
 import subprocess
@@ -63,3 +65,16 @@ def census(n: int, mode: str = "all", level: int = 2,
            backend: str | None = None) -> CensusResult:
     config = SearchConfig(n=n, mode=mode, level=level)
     return enumerate_census(config, backend=backend)
+
+
+def imported_modules(path: Path) -> set[str]:
+    """Every dotted part of every name the source file `path` imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return {part for name in names for part in name.split(".")}

@@ -14,7 +14,7 @@ import pytest
 
 import linkcensus
 from conftest import census, needs_fast
-from linkcensus import cli, core, search
+from linkcensus import cli, core
 from linkcensus.cli import lower_bound, main
 from linkcensus.core import (
     Triangulation,
@@ -124,7 +124,7 @@ def test_jobs_run_job_merge_pipeline(tmp_path, capsys):
     assert rc == 0
     lines = jobs_path.read_text().splitlines()
     assert lines[0].startswith("# partial ")
-    assert len(lines) > 1
+    assert len(lines) > 2 and lines[-1] == f"# jobs {len(lines) - 2}"
 
     result_path = tmp_path / "result.json"
     rc, _, _ = run_cli(capsys, "run-job", "--in", str(jobs_path),
@@ -156,8 +156,8 @@ def _n3_split(tmp_path, capsys):
     rc, _, _ = run_cli(capsys, "jobs", "--size", "3", "--depth", "2",
                        "--out", str(jobs_path))
     assert rc == 0
-    head, *lines = jobs_path.read_text().splitlines()
-    assert len(lines) == 17
+    head, *lines, trailer = jobs_path.read_text().splitlines()
+    assert len(lines) == 17 and trailer == "# jobs 17"
     three = tmp_path / "three.txt"
     three.write_text("\n".join(lines[:3]) + "\n")
     paths = []
@@ -180,16 +180,35 @@ def test_merge_writes_the_census_tables(tmp_path, capsys):
 
 
 def test_merge_decodes_each_signature_once(tmp_path, capsys, monkeypatch):
-    jobs, _, full = _n3_split(tmp_path, capsys)
+    """An n=3 split at depth 1 (8 jobs) dealt alternately to two results,
+    which share 12 classes: merge decodes each of the 81 classes once,
+    after the union, not once per result that holds it."""
+    jobs = tmp_path / "jobs.txt"
+    assert run_cli(capsys, "jobs", "--size", "3", "--depth", "1",
+                   "--out", str(jobs))[0] == 0
+    lines = jobs.read_text().splitlines()[1:-1]
+    assert len(lines) == 8
+    parts = []
+    for k in range(2):
+        part, result = tmp_path / f"part{k}.txt", tmp_path / f"result{k}.json"
+        part.write_text("".join(f"{line}\n" for line in lines[k::2]))
+        assert run_cli(capsys, "run-job", "--in", str(part),
+                       "--out", str(result))[0] == 0
+        parts.append(result_from_dict(json.loads(result.read_text())))
+    shared = set.intersection(*({s for r in part.rows
+                                 for s in r.orient_sigs + r.nonor_sigs}
+                                for part in parts))
+    assert len(shared) == 12
     decoded = collections.Counter()
 
     def counted(sig):
         decoded[sig] += 1
         return decode_signature(sig)
 
-    for module in (core, search, cli):
+    for module in (core, cli):
         monkeypatch.setattr(module, "decode_signature", counted)
-    rc, out, _ = run_cli(capsys, "merge", full, "--jobs", jobs)
+    rc, out, _ = run_cli(capsys, "merge", str(tmp_path / "result0.json"),
+                         str(tmp_path / "result1.json"), "--jobs", str(jobs))
     assert rc == 0 and len(out.splitlines()) == 82
     assert decoded == dict.fromkeys(census(3).signatures(), 1)
 
@@ -210,6 +229,34 @@ def test_merge_rejects_headerless_jobs_file(tmp_path, capsys):
     rc, out, err = run_cli(capsys, "merge", str(old), "--jobs", jobs)
     assert rc == 1 and out == ""
     assert err.startswith("error: result config has keys")
+
+
+def test_merge_refuses_a_cut_or_edited_jobs_file(tmp_path, capsys):
+    """A jobs file ends with a `# jobs N` trailer; one cut after k lines,
+    cut mid-line or missing a line would merge into a silently partial
+    census, so merge refuses it with one diagnostic and no output."""
+    jobs, _, full = _n3_split(tmp_path, capsys)
+    head, *lines, trailer = Path(jobs).read_text().splitlines()
+    for name, kept, error in (
+            ("cut", [head, *lines[:9]],
+             "holds 9 job lines and no '# jobs N' trailer"),
+            ("mid-line", [head, *lines[:9], lines[9][:len(lines[9]) // 2]],
+             "holds 10 job lines and no '# jobs N' trailer"),
+            ("edited", [head, *lines[:8], *lines[9:], trailer],
+             "holds 16 job lines, but its trailer counts 17")):
+        bad = tmp_path / f"{name}.txt"
+        bad.write_text("".join(f"{line}\n" for line in kept))
+        rc, out, err = run_cli(capsys, "merge", full, "--jobs", str(bad), "--sigs")
+        assert (rc, out) == (1, ""), name
+        assert len(err.splitlines()) == 1, name
+        assert err.startswith(f"error: {bad} {error}"), name
+    # what run-job makes of the first 9 jobs is refused too
+    part = tmp_path / "part.json"
+    assert run_cli(capsys, "run-job", "--in", str(tmp_path / "cut.txt"),
+                   "--out", str(part))[0] == 0
+    rc, out, err = run_cli(capsys, "merge", str(part), "--jobs",
+                           str(tmp_path / "cut.txt"), "--sigs")
+    assert (rc, out) == (1, "") and len(err.splitlines()) == 1
 
 
 def test_merge_refuses_a_partial_census(tmp_path, capsys):
@@ -444,7 +491,7 @@ def test_contract_violations_exit_one(tmp_path, capsys):
     head, line = jobs.read_text().splitlines()[:2]
     # n=1 has two pairs, so a third prefix token is one too many
     longer = tmp_path / "longer.txt"
-    longer.write_text(f"{head}\n{line} 2=0:6 2=0:6\n")
+    longer.write_text(f"{head}\n{line} 2=0:6 2=0:6\n# jobs 1\n")
     for argv in (["run-job", "--in", str(longer)], ["merge", "--jobs", str(longer)]):
         rc, out, err = run_cli(capsys, *argv)
         assert (rc, out) == (1, ""), argv

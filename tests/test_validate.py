@@ -1,12 +1,12 @@
 """From-scratch link surfaces, edge conditions, and the brute census."""
 
-import ast
 import random
 from pathlib import Path
 
 import pytest
 
 import linkcensus
+from conftest import imported_modules
 from linkcensus import validate
 from linkcensus.core import (
     Triangulation,
@@ -142,20 +142,8 @@ def test_edge_classes_match_the_incremental_tracker():
     assert checks > 500
 
 
-def _imported_modules(path: Path) -> set[str]:
-    names = set()
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Import):
-            names.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            base = node.module or ""
-            names.add(base)
-            names.update(f"{base}.{alias.name}" for alias in node.names)
-    return {part for name in names for part in name.split(".")}
-
-
 @pytest.mark.parametrize("module", ["validate.py", "core.py"])
 def test_oracles_avoid_the_incremental_machinery(module):
     """The from-scratch checks stay independent of what they check."""
-    imported = _imported_modules(Path(linkcensus.__file__).parent / module)
+    imported = imported_modules(Path(linkcensus.__file__).parent / module)
     assert not imported & {"dsu", "skiplist", "linktrack"}
