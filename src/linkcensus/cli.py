@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import signal
 import sys
 import time
@@ -70,9 +71,15 @@ def _config(args) -> SearchConfig:
     return SearchConfig(n=args.size, mode=args.mode, level=args.pruning)
 
 
+def _destination(path: str | None) -> str:
+    """Where `_output` writes `path`: 'stdout' for None or '-', else the
+    file's real path."""
+    return "stdout" if path is None or path == "-" else os.path.realpath(path)
+
+
 def _output(path: str | None):
-    """Stdout for None or '-' (left open), else the file opened for writing."""
-    if path is None or path == "-":
+    """Stdout, left open, or the file opened for writing: see `_destination`."""
+    if _destination(path) == "stdout":
         return contextlib.nullcontext(sys.stdout)
     return open(path, "w")
 
@@ -81,7 +88,7 @@ def _output(path: str | None):
 def _result_files(args):
     """Yield the `--out` file and the `--stats` one (or None), both opened
     before either is written: a bad path fails before any output."""
-    with _output(args.out) as out, (open(args.stats, "w") if args.stats
+    with _output(args.out) as out, (_output(args.stats) if args.stats
                                     else contextlib.nullcontext()) as stats:
         yield out, stats
 
@@ -341,7 +348,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # refused before any work: one output would overwrite the other
+    stats = getattr(args, "stats", None)
+    if stats and _destination(args.out) == (where := _destination(stats)):
+        parser.error(f"--out and --stats both write to {where}")
     try:
         return args.func(args)
     except (AssertionError, OSError, RuntimeError, ValueError) as e:

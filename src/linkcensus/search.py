@@ -336,27 +336,25 @@ def _search(eng, config: SearchConfig, index: int, pairing: tuple[int, ...],
     nonor: set[str] = set()
     frontier: list[tuple[int, ...]] = []
 
-    def descend(p: tuple[int, ...], depth_cap: int) -> list:
-        raw = eng.search_pairing(config.n, config.mode, config.level, 0,
-                                 pairing, prefix=p, depth_cap=depth_cap)
+    def expand(p: tuple[int, ...], ties: list) -> None:
+        if len(p) == cap:
+            frontier.append(p)
+            return
+        raw = eng.search_pairing(config.n, config.mode, config.level, 0, pairing,
+                                 prefix=p, depth_cap=len(p) + 1 if ties else cap)
         for c in _KERNEL_COUNTERS:
             count[c] += raw[c]
         orient.update(raw["orient_sigs"])
         nonor.update(raw["nonor_sigs"])
-        return raw["frontier"]
-
-    def expand(p: tuple[int, ...], ties: list) -> None:
-        if len(p) == cap:
-            frontier.append(p)
-        elif not ties:  # the filter drops nothing below p
-            frontier.extend(descend(p, cap))
-        else:
-            for child in descend(p, len(p) + 1):
-                child_ties = _ties(child, ties)
-                if child_ties is None:
-                    count["prune_auto"] += 1
-                else:
-                    expand(child, child_ties)
+        if not ties:  # the filter drops nothing below p
+            frontier.extend(raw["frontier"])
+            return
+        for child in raw["frontier"]:
+            child_ties = _ties(child, ties)
+            if child_ties is None:
+                count["prune_auto"] += 1
+            else:
+                expand(child, child_ties)
 
     expand(prefix, ties)
     return PairingRow(index, **count, orient_sigs=tuple(sorted(orient)),
@@ -546,16 +544,15 @@ def result_from_dict(data: dict) -> CensusResult:
     """Inverse of result_to_dict.  A shape it could not have written
     raises ValueError before any of it is used; signatures are only
     checked to be strings."""
-    if not isinstance(data, dict) or not {"config", "rows"} <= set(data):
-        raise ValueError("a result must be an object with jobs, config and rows")
+    if not isinstance(data, dict) or set(data) != {"config", "rows", "jobs"}:
+        got = f"keys {sorted(data)}" if isinstance(data, dict) else type(data).__name__
+        raise ValueError("a result must be an object with keys ['config', "
+                         f"'jobs', 'rows'], not {got}")
     config = data["config"]
     keys = set(config) if isinstance(config, dict) else set()
     if keys != CONFIG_KEYS:
         raise ValueError(f"result config has keys {sorted(keys)}, "
                          f"expected {sorted(CONFIG_KEYS)}")
-    if set(data) != {"config", "rows", "jobs"}:
-        raise ValueError(f"result has keys {sorted(data)}, "
-                         "expected ['config', 'jobs', 'rows']")
     if not (_is_count(config["n"]) and _is_count(config["level"])
             and type(config["mode"]) is str):
         raise ValueError(f"malformed result: config {config}")

@@ -65,7 +65,7 @@ def test_census_tables_parse_back(capsys):
         assert tri.is_complete()
 
 
-def test_census_out_and_stats_files(tmp_path, capsys):
+def test_census_out_and_stats_files(tmp_path, capsys, monkeypatch):
     out_path = tmp_path / "sigs.txt"
     stats_path = tmp_path / "stats.csv"
     rc, out, _ = run_cli(capsys, "census", "--size", "2", "--sigs",
@@ -78,6 +78,14 @@ def test_census_out_and_stats_files(tmp_path, capsys):
     stats = stats_path.read_text().splitlines()
     assert stats[0].startswith("pairing_index,nodes,")
     assert len(stats) == 1 + len(census(2).rows)
+    # --stats - is stdout, as --out - is: the CSV, then the summary line
+    monkeypatch.chdir(tmp_path)
+    rc, out, _ = run_cli(capsys, "census", "--size", "2", "--sigs",
+                         "--out", str(out_path), "--stats", "-")
+    assert rc == 0
+    assert out == stats_path.read_text() + summary_line(census(2)) + "\n"
+    assert out_path.read_text().splitlines() == census(2).signatures()
+    assert not (tmp_path / "-").exists()
 
 
 # The ids are those the cases had when the list also held census --depth cases.
@@ -115,6 +123,35 @@ def test_bad_output_path_fails_before_any_output(tmp_path, capsys, monkeypatch):
         assert (rc, out) == (1, ""), argv
         assert err.startswith("error: [Errno 2] No such file or directory")
         assert ok.read_text() == "", argv
+
+
+def test_two_outputs_on_one_destination_exit_two(tmp_path, capsys, monkeypatch):
+    """`--out` and `--stats` on one file, or both on stdout, are a usage
+    error raised before any search or merge: no file is opened, so the
+    file is neither created nor truncated."""
+    jobs, _, full = _n3_split(tmp_path, capsys)
+
+    def no_work(*args):
+        raise AssertionError("worked before refusing the outputs")
+
+    monkeypatch.setattr("linkcensus.cli.split_jobs", no_work)
+    monkeypatch.setattr("linkcensus.cli.merge", no_work)
+    kept, absent = tmp_path / "kept.txt", tmp_path / "absent.txt"
+    kept.write_text("kept\n")
+    for argv in (["census", "--size", "3"], ["merge", full, "--jobs", jobs]):
+        for outputs, where in (
+                (["--out", str(kept), "--stats", str(kept)], os.path.realpath(kept)),
+                (["--out", str(absent), "--stats", f"{tmp_path}/./absent.txt"],
+                 os.path.realpath(absent)),
+                (["--stats", "-"], "stdout"),
+                (["--out", "-", "--stats", "-"], "stdout")):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--sigs", *outputs])
+            captured = capsys.readouterr()
+            assert (exc.value.code, captured.out) == (2, ""), outputs
+            assert [line for line in captured.err.splitlines() if "error:" in line] == [
+                f"linkcensus: error: --out and --stats both write to {where}"]
+    assert kept.read_text() == "kept\n" and not absent.exists()
 
 
 def test_jobs_run_job_merge_pipeline(tmp_path, capsys):
@@ -228,7 +265,8 @@ def test_merge_rejects_headerless_jobs_file(tmp_path, capsys):
     }) + "\n")
     rc, out, err = run_cli(capsys, "merge", str(old), "--jobs", jobs)
     assert rc == 1 and out == ""
-    assert err.startswith("error: result config has keys")
+    assert err == ("error: a result must be an object with keys "
+                   "['config', 'jobs', 'rows'], not keys ['config', 'rows']\n")
 
 
 def test_merge_refuses_a_cut_or_edited_jobs_file(tmp_path, capsys):

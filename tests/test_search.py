@@ -526,17 +526,20 @@ def test_result_dict_roundtrip():
     res = census(2)
     assert result_from_dict(result_to_dict(res)) == res
     data = result_to_dict(res)
-    for bad in ([data], {"config": data["config"]}):
-        with pytest.raises(ValueError, match="config and rows"):
+    # a result without job ids cannot be checked for exactly-once merging
+    for bad, got in (([data], "list"), ({"config": data["config"]}, "keys ['config']"),
+                     ({"config": data["config"], "rows": data["rows"]},
+                      "keys ['config', 'rows']"),
+                     ({**data, "seed": 0}, "keys ['config', 'jobs', 'rows', 'seed']")):
+        with pytest.raises(ValueError) as exc:
             result_from_dict(bad)
+        assert str(exc.value) == ("a result must be an object with keys "
+                                  f"['config', 'jobs', 'rows'], not {got}")
     with pytest.raises(ValueError, match="config has keys"):
         result_from_dict({**data, "config": {**data["config"], "seed": 0}})
     with pytest.raises(ValueError, match=f"{len(COUNTERS) + 3} columns"):
         result_from_dict({**data, "rows": [row[:-2] + [24] + row[-2:]
                                            for row in data["rows"]]})
-    # a result without job ids cannot be checked for exactly-once merging
-    with pytest.raises(ValueError, match="expected \\['config', 'jobs', 'rows'\\]"):
-        result_from_dict({"config": data["config"], "rows": data["rows"]})
     for rows, jobs in (([5], []), ([], [[0]]), ([], [[0, 5]])):
         with pytest.raises(ValueError, match="malformed result"):
             result_from_dict({**data, "rows": rows, "jobs": jobs})
