@@ -149,8 +149,9 @@ def _cmd_fpg(args) -> int:
 
 def _cmd_jobs(args) -> int:
     config = _config(args)
-    jobs, partial = split_jobs(config, args.depth)
+    # opened before the split: a bad path must not cost the split
     with _output(args.out) as out:
+        jobs, partial = split_jobs(config, args.depth)
         out.write("# partial " + json.dumps(result_to_dict(partial),
                                             separators=(",", ":")) + "\n")
         for job in jobs:
@@ -171,8 +172,9 @@ def _cmd_run_job(args) -> int:
             for line in _job_lines(_read_lines(getattr(args, "in")))]
     if not jobs:
         raise ValueError("no job lines found")
-    merged = merge([run_job(job) for job in jobs], jobs)
+    # opened before any job runs: a bad path must not cost the jobs
     with _output(args.out) as out:
+        merged = merge([run_job(job) for job in jobs], jobs)
         json.dump(result_to_dict(merged), out, separators=(",", ":"))
         out.write("\n")
     return 0

@@ -36,14 +36,15 @@ the code that counts it.
 The four value classes (`SearchConfig`, `PairingRow`, `CensusResult`,
 `JobDescriptor`) are plain named tuples: immutable, hashable and
 picklable for worker processes, with `_fields` naming their fields.
-`SearchConfig` checks its arguments when built, and a `CensusResult`
-compares and hashes without its `jobs`.
+`SearchConfig` and `JobDescriptor` check their arguments when built,
+and a `CensusResult` compares and hashes without its `jobs`.
 """
 
 from __future__ import annotations
 
 import functools
 import os
+import sys
 from itertools import islice
 from typing import NamedTuple
 
@@ -65,8 +66,9 @@ LEVEL0_SIZE_CAP = 4
 def load_backend(name: str | None = None):
     """Resolve an engine module: 'py', 'fast', or 'auto' (the default).
 
-    `auto` prefers the compiled kernel and falls back to pure Python; the
-    LINKCENSUS_BACKEND environment variable supplies the default name.
+    `auto` prefers the compiled kernel and falls back to pure Python,
+    saying so once per process; the LINKCENSUS_BACKEND environment
+    variable supplies the default name.
     """
     if name is None:
         name = os.environ.get("LINKCENSUS_BACKEND", "auto")
@@ -80,8 +82,16 @@ def load_backend(name: str | None = None):
             if name == "fast":
                 raise RuntimeError(
                     "compiled engine requested but not built") from exc
+            _report_fallback()
     from . import _engine_py
     return _engine_py
+
+
+@functools.cache
+def _report_fallback() -> None:
+    print("linkcensus: the compiled kernel cannot be imported; running the "
+          "pure-Python one, about 1000x slower (LINKCENSUS_BACKEND=py chooses "
+          "it explicitly)", file=sys.stderr)
 
 
 class _Config(NamedTuple):
@@ -213,17 +223,41 @@ class CensusResult(NamedTuple):
         return out
 
 
-class JobDescriptor(NamedTuple):
-    """A replayable slice of the search: pairing plus gluing prefix."""
-
+class _Job(NamedTuple):
     config: SearchConfig
     pairing_index: int
     pairing: tuple[int, ...]
     prefix: tuple[int, ...]
 
+
+class JobDescriptor(_Job):
+    """A replayable slice of the search: pairing plus gluing prefix.  Its
+    index, pairing size, prefix length and gluings are checked when built."""
+
+    __slots__ = ()
+
+    def __new__(cls, config: SearchConfig, pairing_index: int, pairing, prefix):
+        pairing, prefix = tuple(pairing), tuple(prefix)
+        if pairing_index < 0:
+            raise ValueError(f"job index {pairing_index} is negative")
+        if len(pairing) != 4 * config.n:
+            raise ValueError("pairing size disagrees with config")
+        pairs = pairs_of(pairing)
+        if len(prefix) >= len(pairs):
+            raise ValueError(f"corrupt job: a prefix of {len(prefix)} gluings "
+                             f"leaves none of the pairing's {len(pairs)} pairs open")
+        for k, ((s, p), pi) in enumerate(zip(pairs, prefix)):
+            if pi not in GLUING_PERMS[s % 4][p % 4]:
+                raise ValueError(f"corrupt job: pair {k} permutation {pi} invalid")
+        return super().__new__(cls, config, pairing_index, pairing, prefix)
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace checks its result too
+        return cls(*fields)
+
     @property
     def id(self) -> JobId:
-        return self.pairing_index, tuple(self.prefix)
+        return self.pairing_index, self.prefix
 
 
 def _branch_maps(pairing: tuple[int, ...], autos: list[tuple[int, ...]],
@@ -397,21 +431,13 @@ def run_job(job: JobDescriptor, backend: str | None = None) -> CensusResult:
     """Replay the job's prefix and search its subtree.
 
     Counts cover only the subtree below the prefix, filtered as far as
-    the pairing's maps reach.  A job that split_jobs cannot have written
-    raises ValueError: a pairing that is not canonical or not connected,
-    a prefix that glues every pair, one that fails its own pruning
-    checks, and one that an automorphism maps to a smaller prefix.
+    the pairing's maps reach.  A pairing that is not canonical or not
+    connected, a prefix that fails its own pruning checks, and one that
+    an automorphism maps to a smaller prefix raise ValueError.
     """
     eng = load_backend(backend)
-    pairs = pairs_of(job.pairing)
-    if len(job.prefix) == len(pairs):
-        raise ValueError("corrupt job: the prefix glues every pair")
-    # a prefix the kernel cannot replay is left to the kernel's diagnostics
-    replayable = len(job.prefix) < len(pairs) and all(
-        pi in GLUING_PERMS[s % 4][p % 4] for (s, p), pi in zip(pairs, job.prefix))
-    maps = _maps(job.pairing) if replayable else ()
-    row, _ = _search(eng, job.config, job.pairing_index, job.pairing,
-                     job.prefix, maps, len(pairs))
+    row, _ = _search(eng, job.config, job.pairing_index, job.pairing, job.prefix,
+                     _maps(job.pairing), len(pairs_of(job.pairing)))
     return CensusResult(job.config, (row,), (job.id,))
 
 
@@ -575,13 +601,13 @@ def result_from_dict(data: dict) -> CensusResult:
 def format_job(job: JobDescriptor) -> str:
     c = job.config
     head = f"n={c.n} mode={c.mode} level={c.level} index={job.pairing_index}"
-    pairs = pairs_of(job.pairing)
-    toks = " ".join(f"{pairs[k][0]}={pairs[k][1] // 4}:{pi}"
-                    for k, pi in enumerate(job.prefix))
+    toks = " ".join(f"{s}={p // 4}:{pi}"
+                    for (s, p), pi in zip(pairs_of(job.pairing), job.prefix))
     return f"{head} | {format_pairing(job.pairing)} | {toks}"
 
 
 def parse_job(line: str) -> JobDescriptor:
+    """Inverse of `format_job`; the job refuses what no split writes."""
     parts = [p.strip() for p in line.split("|")]
     if len(parts) != 3:
         raise ValueError("job line must have config | pairing | prefix")
@@ -596,27 +622,11 @@ def parse_job(line: str) -> JobDescriptor:
     for key in head:
         if key not in JOB_KEYS:
             raise ValueError(f"job line has unknown key {key!r}")
-    config = SearchConfig(n=int(head["n"]), mode=head["mode"],
-                          level=int(head["level"]))
-    index = int(head["index"])
-    if index < 0:
-        raise ValueError(f"job index {index} is negative")
-    pn, pairing = parse_pairing(parts[1])
-    if pn != config.n:
-        raise ValueError("pairing size disagrees with config")
-    pairs = pairs_of(pairing)
+    config = SearchConfig(int(head["n"]), head["mode"], int(head["level"]))
+    _, pairing = parse_pairing(parts[1])
     toks = parts[2].split()
-    if len(toks) > len(pairs):
-        raise ValueError(f"prefix has {len(toks)} tokens but the pairing "
-                         f"has only {len(pairs)} pairs")
-    prefix = []
-    for (s, p), tok in zip(pairs, toks):
-        slot, _, rest = tok.partition("=")
-        tet, _, pi = rest.partition(":")
-        s1, pi = int(slot), int(pi)
-        if s1 != s or int(tet) != p // 4:
+    for (s, p), tok in zip(pairs_of(pairing), toks):
+        if tok.partition(":")[0] != f"{s}={p // 4}":
             raise ValueError(f"prefix token {tok!r} does not match the pairing")
-        if pi not in GLUING_PERMS[s % 4][p % 4]:
-            raise ValueError(f"prefix token {tok!r} is not a face gluing")
-        prefix.append(pi)
-    return JobDescriptor(config, index, pairing, tuple(prefix))
+    return JobDescriptor(config, int(head["index"]), pairing,
+                         tuple(int(tok.partition(":")[2]) for tok in toks))

@@ -104,19 +104,25 @@ def test_census_split_paths_match(tmp_path, capsys, extra):
 
 
 def test_bad_output_path_fails_before_any_output(tmp_path, capsys, monkeypatch):
+    """`census`, `jobs` and `run-job` open `--out` before they split or run
+    anything: a bad path costs no search."""
     bad = str(tmp_path / "missing" / "x.txt")
+    jobs, _, full = _n3_split(tmp_path, capsys)
 
     def no_search(*args):
         raise AssertionError("searched before opening --out")
 
     monkeypatch.setattr("linkcensus.cli.split_jobs", no_search)
-    rc, out, err = run_cli(capsys, "census", "--size", "3", "--out", bad)
-    assert (rc, out) == (1, "")
-    assert err.startswith("error: [Errno 2] No such file or directory")
+    monkeypatch.setattr("linkcensus.cli.run_job", no_search)
+    for argv in (["census", "--size", "3"], ["jobs", "--size", "3", "--depth", "2"],
+                 ["run-job", "--in", jobs]):
+        rc, out, err = run_cli(capsys, *argv, "--out", bad)
+        assert (rc, out) == (1, ""), argv
+        assert err.startswith("error: [Errno 2] No such file or directory"), argv
+        assert len(err.splitlines()) == 1, argv
     monkeypatch.undo()
     # a bad --stats path must not let --out receive the signatures first
     ok = tmp_path / "ok.sigs"
-    jobs, _, full = _n3_split(tmp_path, capsys)
     for argv in (["census", "--size", "3"], ["merge", full, "--jobs", jobs]):
         rc, out, err = run_cli(capsys, *argv, "--sigs", "--out", str(ok),
                                "--stats", bad)
@@ -533,7 +539,8 @@ def test_contract_violations_exit_one(tmp_path, capsys):
     for argv in (["run-job", "--in", str(longer)], ["merge", "--jobs", str(longer)]):
         rc, out, err = run_cli(capsys, *argv)
         assert (rc, out) == (1, ""), argv
-        assert err == "error: prefix has 3 tokens but the pairing has only 2 pairs\n"
+        assert err == ("error: corrupt job: a prefix of 3 gluings leaves none "
+                       "of the pairing's 2 pairs open\n")
     jobs.write_text(line.replace(" level=2", "") + "\n")
     rc, _, err = run_cli(capsys, "run-job", "--in", str(jobs))
     assert rc == 1
@@ -553,7 +560,8 @@ def test_contract_violations_exit_one(tmp_path, capsys):
                     "0.2 0.3 1.3 1.2 | 0=0:1 2=1:4 3=1:12 6=1:6\n")
     rc, out, err = run_cli(capsys, "run-job", "--in", str(jobs))
     assert (rc, out) == (1, "")
-    assert err.splitlines() == ["error: corrupt job: the prefix glues every pair"]
+    assert err.splitlines() == ["error: corrupt job: a prefix of 4 gluings "
+                                "leaves none of the pairing's 4 pairs open"]
     # a pairing of the wrong size, a Perm4 index that does not carry the
     # face, and a file holding only the partial header
     pairing = "1 ; 0.1 0.0 0.3 0.2"  # slot 0 (face 0) glued to face 1
@@ -563,7 +571,7 @@ def test_contract_violations_exit_one(tmp_path, capsys):
             (f"n=2 mode=all level=2 index=0 | {pairing} |",
              "pairing size disagrees with config"),
             (f"n=1 mode=all level=2 index=0 | {pairing} | 0=0:{off_face}",
-             f"prefix token '0=0:{off_face}' is not a face gluing"),
+             f"corrupt job: pair 0 permutation {off_face} invalid"),
             (head, "no job lines found")):
         jobs.write_text(text + "\n")
         rc, out, err = run_cli(capsys, "run-job", "--in", str(jobs))

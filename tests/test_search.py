@@ -5,6 +5,7 @@ import functools
 import pickle
 import random
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import census, fast_backend_available, imported_modules, needs_fast
+import linkcensus
 from linkcensus import search
 from linkcensus.core import Triangulation, decode_signature, is_orientable, iso_signature
 from linkcensus.fpg import automorphisms, enumerate_pairings, pairs_of
@@ -141,6 +143,46 @@ def test_config_validation():
     assert list(SearchConfig._fields) == ["n", "mode", "level"]
 
 
+def test_job_descriptor_validation():
+    """A job checks itself when built, by `_replace` and by unpickling as
+    well: what it refuses no split writes."""
+    config = SearchConfig(n=2)
+    jobs, _ = split_jobs(config, 2)
+    job = jobs[0]
+    pairs = pairs_of(job.pairing)
+    s, p = pairs[0]
+    off_face = next(pi for pi in range(24) if pi not in GLUING_PERMS[s % 4][p % 4])
+    full = tuple(GLUING_PERMS[s % 4][p % 4][0] for s, p in pairs)
+    for fields, message in (
+            ({"pairing_index": -1}, "job index -1 is negative"),
+            ({"pairing": job.pairing[:4]}, "pairing size disagrees with config"),
+            ({"config": SearchConfig(n=3)}, "pairing size disagrees with config"),
+            ({"prefix": full}, "corrupt job: a prefix of 4 gluings leaves "
+             "none of the pairing's 4 pairs open"),
+            ({"prefix": full + (0,)}, "corrupt job: a prefix of 5 gluings "
+             "leaves none of the pairing's 4 pairs open"),
+            ({"prefix": (off_face,)},
+             f"corrupt job: pair 0 permutation {off_face} invalid"),
+            ({"prefix": (*job.prefix[:1], 99)},
+             "corrupt job: pair 1 permutation 99 invalid")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            JobDescriptor(**{**job._asdict(), **fields})
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            job._replace(**fields)
+    # pairing and prefix are stored as tuples, whatever sequence built them
+    built = JobDescriptor(config, job.pairing_index, list(job.pairing),
+                          list(job.prefix))
+    assert built == job and type(built.pairing) is type(built.prefix) is tuple
+    for each in jobs:
+        assert pickle.loads(pickle.dumps(each)) == each
+        assert each.id == (each.pairing_index, each.prefix)
+        assert type(each.id) is tuple and type(each.id[1]) is tuple
+    # a worker unpickling a job checks it too
+    forged = tuple.__new__(JobDescriptor, (config, -1, job.pairing, job.prefix))
+    with pytest.raises(ValueError, match="^job index -1 is negative$"):
+        pickle.loads(pickle.dumps(forged))
+
+
 def test_value_classes_compare_hash_and_pickle():
     """Worker processes pickle jobs and results; a result's equality and
     hash ignore the jobs it covers."""
@@ -165,6 +207,31 @@ def test_load_backend(monkeypatch):
     monkeypatch.setenv("LINKCENSUS_BACKEND", "nope")
     with pytest.raises(ValueError):
         load_backend()
+
+
+def test_auto_backend_reports_its_fallback_once(monkeypatch, capsys):
+    """`auto` says once per process that it fell back to the pure kernel;
+    `py`, and `auto` with the compiled kernel present, say nothing."""
+    monkeypatch.setattr(search, "_report_fallback",
+                        functools.cache(search._report_fallback.__wrapped__))
+    monkeypatch.delenv("LINKCENSUS_BACKEND", raising=False)
+    load_backend("py")
+    if fast_backend_available():
+        assert load_backend("auto").BACKEND_NAME == "fast"
+    assert capsys.readouterr().err == ""
+    # hidden both from the import system and from the package
+    monkeypatch.setitem(sys.modules, "linkcensus._engine", None)
+    monkeypatch.delattr(linkcensus, "_engine", raising=False)
+    for _ in range(3):
+        assert load_backend("auto").BACKEND_NAME == "py"
+    run_job(split_jobs(SearchConfig(n=1), 0)[0][0])
+    load_backend("py")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and not err[0].startswith("error:")
+    assert "pure-Python" in err[0] and "LINKCENSUS_BACKEND=py" in err[0]
+    with pytest.raises(RuntimeError, match="compiled engine requested but not built"):
+        load_backend("fast")
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("depth", [0, 1, 2, 99])
@@ -382,18 +449,22 @@ def test_corrupt_jobs_rejected(backend):
     config = SearchConfig(n=2)
     jobs, _ = split_jobs(config, 1)
     job = jobs[0]
-    too_long = JobDescriptor(config, job.pairing_index, job.pairing,
-                             (0,) * 20)
-    with pytest.raises(ValueError, match="prefix longer"):
-        run_job(too_long, backend=backend)
-    # nor a prefix that glues every pair, even one that passes its checks
-    with pytest.raises(ValueError, match="^corrupt job: the prefix glues every pair$"):
-        run_job(parse_job(FULL_PREFIX_JOB), backend=backend)
-    bad_perm = JobDescriptor(config, job.pairing_index, job.pairing, (23,))
-    with pytest.raises(ValueError, match="permutation 23 invalid"):
-        run_job(bad_perm, backend=backend)
-    # a branch the kernel pruned cannot come from split_jobs
     eng = load_backend(backend)
+    # a job that no split writes is refused when built; each kernel still
+    # refuses the same prefixes on its own
+    for prefix, built, replayed in (
+            ((0,) * 20, "a prefix of 20 gluings leaves none of the pairing's "
+             "4 pairs open", "prefix longer than the pairing"),
+            ((23,), "pair 0 permutation 23 invalid", "pair 0 permutation 23 invalid")):
+        with pytest.raises(ValueError, match=f"^corrupt job: {built}$"):
+            JobDescriptor(config, job.pairing_index, job.pairing, prefix)
+        with pytest.raises(ValueError, match=f"^corrupt job: {replayed}$"):
+            eng.search_pairing(2, "all", 2, 0, job.pairing, prefix=prefix)
+    # nor a prefix that glues every pair, even one that passes its checks
+    with pytest.raises(ValueError, match="^corrupt job: a prefix of 4 gluings "
+                       "leaves none of the pairing's 4 pairs open$"):
+        parse_job(FULL_PREFIX_JOB)
+    # a branch the kernel pruned cannot come from split_jobs
     kept = eng.search_pairing(2, "all", 2, 0, job.pairing, depth_cap=1)["frontier"]
     s1, s2 = pairs_of(job.pairing)[0]
     pruned = [
@@ -600,7 +671,8 @@ def test_job_line_rejects_tampering():
     with pytest.raises(ValueError, match="unknown key 'force_level0'"):
         parse_job(line.replace(" index=", " force_level0=0 index="))
     # n=1 has two pairs: a third token must not index past them
-    with pytest.raises(ValueError, match="3 tokens but the pairing has only 2"):
+    with pytest.raises(ValueError, match="a prefix of 3 gluings leaves none of "
+                       "the pairing's 2 pairs open"):
         parse_job("n=1 mode=all level=2 index=0 | 1 ; 0.1 0.0 0.3 0.2 "
                   "| 0=0:1 2=0:6 2=0:6")
 
