@@ -9,7 +9,8 @@ them from the jobs file), so it counts every job exactly once.  Flag
 conventions are shared across subcommands; `LINKCENSUS_BACKEND` picks
 the engine, for `bench` too.  Exit codes: 0 success, 1 internal
 contract violation (with a diagnostic on stderr), 2 usage error, 130
-interrupted by Ctrl-C.
+interrupted by Ctrl-C, 141 (silently) when the reader of stdout closes
+it early, as a process killed by SIGPIPE would.
 """
 
 from __future__ import annotations
@@ -357,7 +358,14 @@ def main(argv: list[str] | None = None) -> int:
     if stats and _destination(args.out) == (where := _destination(stats)):
         parser.error(f"--out and --stats both write to {where}")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # nothing more can be written; the interpreter's final flush of
+        # stdout goes to devnull instead of raising again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (AssertionError, OSError, RuntimeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

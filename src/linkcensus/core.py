@@ -11,23 +11,21 @@ The serialized form is one line:
     n ; t0f0 t0f1 t0f2 t0f3 ; t1f0 ... ; ...
 
 where each token is `-` (unglued) or `T:P` with T the destination
-tetrahedron and P the Perm4 index.  `from_human_rows` reads the same
-data in the letter/digit-triple style used for worked examples
-(`C:013` means "to tetrahedron C, sorted face vertices land on 0,1,3").
+tetrahedron and P the Perm4 index.
 
-The readers of the three text forms (`parse_table`, `from_human_rows`,
-`decode_signature`) only tokenize: each turns its text into two ints per
-slot, partner tetrahedron and Perm4 index, and `_table` alone checks that
-every gluing is in range and glues back.  The two writers of the table
-line share one renderer, `_table_line`: `serialize` renders a table, and
+The readers of the two text forms (`parse_table`, `decode_signature`)
+only tokenize: each turns its text into two ints per slot, partner
+tetrahedron and Perm4 index, and `_table` alone checks that every gluing
+is in range and glues back.  The two writers of the table line share one
+renderer, `_table_line`: `serialize` renders a table, and
 `signature_table` renders a signature's digits straight into the line
 that `serialize(decode_signature(sig))` writes, with no table built.
 
-The invariants are closures of one plain `UnionFind`.  `vertex_classes`
-uses it directly; every sign question goes through `sign_classes`, which
-joins two copies of each element, one per sign.  That one signed closure
-answers edge direction (`edge_classes`), tetrahedron orientability
-(`is_orientable`) and, in `validate`, link orientability.
+The invariants are closures of one plain `UnionFind`.  Every sign
+question goes through `sign_classes`, which joins two copies of each
+element, one per sign.  That one signed closure answers edge direction
+(`edge_classes`), tetrahedron orientability (`is_orientable`) and, in
+`validate`, link orientability.
 """
 
 from __future__ import annotations
@@ -39,14 +37,11 @@ from .perms import (
     EDGE_INDEX,
     EDGE_PAIRS,
     FACE_EDGES,
-    FACE_OF_VERTICES,
     FACE_OPPOSITE,
-    FACE_VERTICES,
     PERM4_IMAGES,
     PERM4_INV,
     PERM4_MUL,
     PERM4_SIGN,
-    extend_face_perm,
 )
 
 
@@ -197,40 +192,6 @@ def parse_table(text: str) -> Triangulation:
     return _table(n, digits)
 
 
-_TET_NAMES = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-_CELL_RE = re.compile(r"^([A-Za-z]|\d+)\s*:\s*(\d)(\d)(\d)$")
-
-
-def from_human_rows(rows: list[list[str]]) -> Triangulation:
-    """Build a triangulation from `C:013`-style cells, one 4-cell row per tet.
-
-    The digit triple lists, in order, where the sorted vertices of the row's
-    face land in the destination tetrahedron.  Both cells of every gluing
-    are given, and `_table` checks that they agree.
-    """
-    n = len(rows)
-    digits: list[int] = []
-    for t, row in enumerate(rows):
-        if len(row) != 4:
-            raise ParseError(f"row {t}: expected 4 cells")
-        for f, cell in enumerate(row):
-            cell = cell.strip()
-            if cell == "-":
-                digits += (-1, -1)
-                continue
-            m = _CELL_RE.match(cell)
-            if not m:
-                raise ParseError(f"row {t} face {f}: bad cell {cell!r}")
-            who = m.group(1)
-            dt = _TET_NAMES.index(who.upper()) if who.isalpha() else int(who)
-            images = tuple(int(m.group(i)) for i in (2, 3, 4))
-            dst_face = FACE_OF_VERTICES.get(tuple(sorted(images)))
-            if dst_face is None:
-                raise ParseError(f"row {t} face {f}: bad cell {cell!r}")
-            digits += (dt, extend_face_perm(f, dst_face, images))
-    return _table(n, digits)
-
-
 class UnionFind:
     """Plain union-find: the one closure of the from-scratch invariants."""
 
@@ -256,18 +217,6 @@ def _gluings(tri: Triangulation):
     for s, d in enumerate(tri.adj):
         if d > s:
             yield s, d, PERM4_IMAGES[tri.perm[s]]
-
-
-def vertex_classes(tri: Triangulation) -> list[list[tuple[int, int]]]:
-    """Identification classes of the 4n tetrahedron vertices, sorted."""
-    uf = UnionFind(4 * tri.n)
-    for s, d, images in _gluings(tri):
-        for v in FACE_VERTICES[s % 4]:
-            uf.union(4 * (s // 4) + v, 4 * (d // 4) + images[v])
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for i in range(4 * tri.n):
-        groups.setdefault(uf.find(i), []).append((i // 4, i % 4))
-    return sorted(sorted(g) for g in groups.values())
 
 
 def sign_classes(count: int, relations) -> list[tuple[int, int]]:
@@ -333,21 +282,6 @@ def is_orientable(tri: Triangulation) -> bool:
     r0, r1 = sign_classes(tri.n, [(s // 4, d // 4, -PERM4_SIGN[tri.perm[s]])
                                   for s, d, _ in _gluings(tri)])[0]
     return r0 != r1
-
-
-def relabel(tri: Triangulation, tet_map: list[int], vertex_maps: list[int]) -> Triangulation:
-    """Rebuild with tetrahedron t renamed tet_map[t] and its vertices permuted
-    by the Perm4 index vertex_maps[t]."""
-    out = Triangulation(tri.n)
-    for s, d, _ in _gluings(tri):
-        t1, f1 = s // 4, s % 4
-        t2, f2 = d // 4, d % 4
-        r1, r2 = vertex_maps[t1], vertex_maps[t2]
-        # new gluing permutation: r2 . old . r1^-1
-        p = PERM4_MUL[PERM4_MUL[r2][tri.perm[s]]][PERM4_INV[r1]]
-        out.glue(4 * tet_map[t1] + _PARTNER_FACE[f1][r1],
-                 4 * tet_map[t2] + _PARTNER_FACE[f2][r2], p)
-    return out
 
 
 def canonical_sequence(n: int, adj: list[int], perm: list[int]) -> list[int]:

@@ -1,25 +1,24 @@
 """Naive from-scratch validators used as test oracles and leaf checks.
 
 Everything here is written directly against the gluing table with the
-plain closures of `core` and `fpg.is_connected`; none of the incremental
-machinery (signed union-find, cyclic skip lists, link tracking) is used.
-The point is independence: when the fast path and this module agree on
-thousands of randomized cases, a shared systematic bug is unlikely.
+plain closures of `core`; none of the incremental machinery (signed
+union-find, cyclic skip lists, link tracking) is used.  The point is
+independence: when the fast path and this module agree on thousands of
+randomized cases, a shared systematic bug is unlikely.
 `core.UnionFind` joins the corners of the link triangles and the
 boundary cycles, and one signed closure, `core.sign_classes`, answers
 every sign question: edge direction (`check_edges`, through
-`edge_classes`), tetrahedron orientability (`is_orientable`) and the
-link pieces with their orientability (`build_links`).  `defects` yields
-the reasons a complete table is not a 3-manifold, cheapest first, and
-`is_3manifold` stops at the first.  Only the numbering conventions of
-`perms` (faces, edges, link edges and their arrows) and the gluing walk
-`core._gluings` are shared: a copy of a convention would agree with it
-by construction, so it adds no check.
+`edge_classes`), tetrahedron orientability (`core.is_orientable`) and
+the link pieces with their orientability (`build_links`).  `defects`
+yields the reasons a complete table is not a 3-manifold, cheapest first,
+and `is_3manifold` stops at the first.  Only the numbering conventions
+of `perms` (faces, edges, link edges and their arrows) and the gluing
+walk `core._gluings` are shared: a copy of a convention would agree with
+it by construction, so it adds no check.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .core import (
@@ -27,16 +26,11 @@ from .core import (
     UnionFind,
     _gluings,
     edge_classes,
-    is_orientable,
-    relabel,
-    serialize,
     sign_classes,
 )
-from .fpg import is_connected
 from .perms import (
     FACE_VERTICES,
     FACES_AT_VERTEX,
-    GLUING_PERMS,
     LINK_ALONG,
     link_edge_id,
 )
@@ -171,55 +165,3 @@ def is_3manifold(tri: Triangulation) -> bool:
     """Complete triangulation test: every vertex link a 2-sphere and no
     edge identified with itself reversed.  Stops at the first defect."""
     return next(defects(tri), None) is None
-
-
-def _all_pairings(n: int):
-    """All slot pairings of 4n slots (connected ones only)."""
-    adj = [-1] * (4 * n)
-
-    def helper(pairs):
-        free = [s for s in range(4 * n) if adj[s] == -1]
-        if not free:
-            if is_connected(adj):
-                yield list(pairs)
-            return
-        s = free[0]
-        for d in free[1:]:
-            adj[s], adj[d] = d, s
-            pairs.append((s, d))
-            yield from helper(pairs)
-            pairs.pop()
-            adj[s], adj[d] = -1, -1
-
-    yield from helper([])
-
-
-def brute_census(n: int):
-    """Exhaustive census by validation of every complete gluing.
-
-    Only sensible for n <= 2.  Returns (class_reps, orientable_count):
-    one representative Triangulation per isomorphism class, where classes
-    are computed by expanding full relabelling orbits, never by signature.
-    """
-    if n > 2:
-        raise ValueError("brute_census is a small-n oracle; use the search instead")
-    reps: list[Triangulation] = []
-    seen: set[str] = set()
-    tet_maps = list(itertools.permutations(range(n)))
-    vertex_maps = list(itertools.product(range(24), repeat=n))
-    for pairing in _all_pairings(n):
-        for choice in itertools.product(range(6), repeat=len(pairing)):
-            tri = Triangulation(n)
-            for (s, d), k in zip(pairing, choice):
-                tri.glue(s, d, GLUING_PERMS[s % 4][d % 4][k])
-            if not is_3manifold(tri):
-                continue
-            key = serialize(tri)
-            if key in seen:
-                continue
-            reps.append(tri)
-            for tm in tet_maps:
-                for vm in vertex_maps:
-                    seen.add(serialize(relabel(tri, list(tm), list(vm))))
-    orientable = sum(1 for r in reps if is_orientable(r))
-    return reps, orientable

@@ -4,19 +4,39 @@ Each oracle favours obviousness over speed: explicit relation graphs,
 endpoint matchings, and from-scratch rebuilds.  The acceptance suite
 reruns the same fuzz drivers at larger case counts, so the drivers here
 take their trial counts as arguments and return how many individual
-checks they performed.
+checks they performed.  Code that only the tests need lives here rather
+than in the package: the letter-row table format, relabelling, vertex
+classes and the n <= 2 brute census.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import re
 
-from linkcensus.core import _TET_NAMES, Triangulation
+from linkcensus.core import (
+    _PARTNER_FACE,
+    ParseError,
+    Triangulation,
+    UnionFind,
+    _gluings,
+    _table,
+    is_orientable,
+    serialize,
+)
 from linkcensus.dsu import Outcome, SignedDsu
 from linkcensus.fpg import is_canonical, is_connected, pairs_of
 from linkcensus.linktrack import GlueOutcome, LinkState
-from linkcensus.perms import FACE_VERTICES, GLUING_PERMS, PERM4_IMAGES
+from linkcensus.perms import (
+    FACE_OF_VERTICES,
+    FACE_VERTICES,
+    GLUING_PERMS,
+    PERM4_IMAGES,
+    PERM4_INV,
+    PERM4_MUL,
+    extend_face_perm,
+)
 from linkcensus.search import _branch_maps, _ties
 from linkcensus.skiplist import CyclicSkipList
 from linkcensus.validate import build_links, check_edges, is_3manifold
@@ -30,6 +50,42 @@ TORUS_LINK_ROWS = [
     ["A:013", "C:120", "C:231", "C:302"],
     ["B:301", "A:012", "B:231", "B:302"],
 ]
+
+
+# -- letter-row tables ----------------------------------------------------------
+
+_TET_NAMES = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+_CELL_RE = re.compile(r"^([A-Za-z]|\d+)\s*:\s*(\d)(\d)(\d)$")
+
+
+def from_human_rows(rows: list[list[str]]) -> Triangulation:
+    """Build a triangulation from `C:013`-style cells, one 4-cell row per tet.
+
+    The digit triple lists, in order, where the sorted vertices of the row's
+    face land in the destination tetrahedron.  Both cells of every gluing
+    are given, and `_table` checks that they agree.
+    """
+    n = len(rows)
+    digits: list[int] = []
+    for t, row in enumerate(rows):
+        if len(row) != 4:
+            raise ParseError(f"row {t}: expected 4 cells")
+        for f, cell in enumerate(row):
+            cell = cell.strip()
+            if cell == "-":
+                digits += (-1, -1)
+                continue
+            m = _CELL_RE.match(cell)
+            if not m:
+                raise ParseError(f"row {t} face {f}: bad cell {cell!r}")
+            who = m.group(1)
+            dt = _TET_NAMES.index(who.upper()) if who.isalpha() else int(who)
+            images = tuple(int(m.group(i)) for i in (2, 3, 4))
+            dst_face = FACE_OF_VERTICES.get(tuple(sorted(images)))
+            if dst_face is None:
+                raise ParseError(f"row {t} face {f}: bad cell {cell!r}")
+            digits += (dt, extend_face_perm(f, dst_face, images))
+    return _table(n, digits)
 
 
 def serialize_human(tri: Triangulation) -> str:
@@ -50,6 +106,87 @@ def serialize_human(tri: Triangulation) -> str:
             cells.append(f"{name}:{digits}")
         rows.append(f"{_TET_NAMES[t] if t < 26 else t} | " + " | ".join(cells))
     return "\n".join(rows)
+
+
+# -- gluing tables and the brute census -------------------------------------------
+
+def vertex_classes(tri: Triangulation) -> list[list[tuple[int, int]]]:
+    """Identification classes of the 4n tetrahedron vertices, sorted."""
+    uf = UnionFind(4 * tri.n)
+    for s, d, images in _gluings(tri):
+        for v in FACE_VERTICES[s % 4]:
+            uf.union(4 * (s // 4) + v, 4 * (d // 4) + images[v])
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for i in range(4 * tri.n):
+        groups.setdefault(uf.find(i), []).append((i // 4, i % 4))
+    return sorted(sorted(g) for g in groups.values())
+
+
+def relabel(tri: Triangulation, tet_map: list[int], vertex_maps: list[int]) -> Triangulation:
+    """Rebuild with tetrahedron t renamed tet_map[t] and its vertices permuted
+    by the Perm4 index vertex_maps[t]."""
+    out = Triangulation(tri.n)
+    for s, d, _ in _gluings(tri):
+        t1, f1 = s // 4, s % 4
+        t2, f2 = d // 4, d % 4
+        r1, r2 = vertex_maps[t1], vertex_maps[t2]
+        # new gluing permutation: r2 . old . r1^-1
+        p = PERM4_MUL[PERM4_MUL[r2][tri.perm[s]]][PERM4_INV[r1]]
+        out.glue(4 * tet_map[t1] + _PARTNER_FACE[f1][r1],
+                 4 * tet_map[t2] + _PARTNER_FACE[f2][r2], p)
+    return out
+
+
+def all_pairings(n: int):
+    """All slot pairings of 4n slots (connected ones only)."""
+    adj = [-1] * (4 * n)
+
+    def helper(pairs):
+        free = [s for s in range(4 * n) if adj[s] == -1]
+        if not free:
+            if is_connected(adj):
+                yield list(pairs)
+            return
+        s = free[0]
+        for d in free[1:]:
+            adj[s], adj[d] = d, s
+            pairs.append((s, d))
+            yield from helper(pairs)
+            pairs.pop()
+            adj[s], adj[d] = -1, -1
+
+    yield from helper([])
+
+
+def brute_census(n: int):
+    """Exhaustive census by validation of every complete gluing.
+
+    Only sensible for n <= 2.  Returns (class_reps, orientable_count):
+    one representative Triangulation per isomorphism class, where classes
+    are computed by expanding full relabelling orbits, never by signature.
+    """
+    if n > 2:
+        raise ValueError("brute_census is a small-n oracle; use the search instead")
+    reps: list[Triangulation] = []
+    seen: set[str] = set()
+    tet_maps = list(itertools.permutations(range(n)))
+    vertex_maps = list(itertools.product(range(24), repeat=n))
+    for pairing in all_pairings(n):
+        for choice in itertools.product(range(6), repeat=len(pairing)):
+            tri = Triangulation(n)
+            for (s, d), k in zip(pairing, choice):
+                tri.glue(s, d, GLUING_PERMS[s % 4][d % 4][k])
+            if not is_3manifold(tri):
+                continue
+            key = serialize(tri)
+            if key in seen:
+                continue
+            reps.append(tri)
+            for tm in tet_maps:
+                for vm in vertex_maps:
+                    seen.add(serialize(relabel(tri, list(tm), list(vm))))
+    orientable = sum(1 for r in reps if is_orientable(r))
+    return reps, orientable
 
 
 # -- signed relations ----------------------------------------------------------

@@ -21,23 +21,20 @@ import pytest
 
 from conftest import ENGINE_BUILD_LOG
 from linkcensus.cli import lower_bound, main
-from linkcensus.core import (
-    decode_signature,
-    edge_classes,
-    from_human_rows,
-    iso_signature,
-    relabel,
-    vertex_classes,
-)
+from linkcensus.core import decode_signature, edge_classes, iso_signature
 from linkcensus.linktrack import GlueOutcome, LinkState
 from linkcensus.search import SearchConfig, enumerate_census, load_backend
 from linkcensus.skiplist import CyclicSkipList
-from linkcensus.validate import brute_census, build_links, is_3manifold
+from linkcensus.validate import build_links, is_3manifold
 from oracles import (
     TORUS_LINK_ROWS,
+    brute_census,
     dsu_fuzz_trial,
+    from_human_rows,
     linktrack_fuzz_trial,
+    relabel,
     skiplist_fuzz_trial,
+    vertex_classes,
 )
 
 EXPECTED = {

@@ -19,7 +19,6 @@ from linkcensus.cli import lower_bound, main
 from linkcensus.core import (
     Triangulation,
     decode_signature,
-    from_human_rows,
     parse_table,
     serialize,
 )
@@ -38,7 +37,7 @@ from linkcensus.search import (
     summary_line,
 )
 from linkcensus.validate import check_edges
-from oracles import TORUS_LINK_ROWS
+from oracles import TORUS_LINK_ROWS, from_human_rows
 
 
 def run_cli(capsys, *argv):
@@ -191,6 +190,30 @@ def test_jobs_run_job_merge_pipeline(tmp_path, capsys):
                        "--out", str(direct_path))
     assert rc == 0
     assert merged_path.read_bytes() == direct_path.read_bytes()
+
+
+def test_split_deeper_than_the_tree(tmp_path, capsys):
+    """At depth 9 no n=2 prefix is left to hand out: the `# partial`
+    header holds the whole census and the file holds no job.  Merging it
+    alone is the census; running it is an error."""
+    jobs_path = tmp_path / "jobs.txt"
+    assert run_cli(capsys, "jobs", "--size", "2", "--depth", "9",
+                   "--out", str(jobs_path))[0] == 0
+    head, trailer = jobs_path.read_text().splitlines()
+    partial = result_from_dict(json.loads(head.removeprefix("# partial ")))
+    assert partial.signatures() == census(2).signatures()
+    assert trailer == "# jobs 0"
+
+    rc, merged, _ = run_cli(capsys, "merge", "--jobs", str(jobs_path), "--sigs")
+    assert rc == 0
+    assert merged == run_cli(capsys, "census", "--size", "2", "--sigs")[1]
+    assert merged.splitlines()[-1].endswith(f" nodes={census(2).nodes}")
+
+    result_path = tmp_path / "result.json"
+    rc, out, err = run_cli(capsys, "run-job", "--in", str(jobs_path),
+                           "--out", str(result_path))
+    assert (rc, out, err) == (1, "", "error: no job lines found\n")
+    assert not result_path.exists()
 
 
 def _n3_split(tmp_path, capsys):
@@ -631,6 +654,29 @@ def test_ctrl_c_stops_a_threaded_census():
     assert (out, err) == ("", "error: interrupted\n")
     with pytest.raises(ProcessLookupError):
         os.killpg(proc.pid, 0)
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["fpg", "--size", "5"], id="buffered"),
+    pytest.param(["fpg", "--size", "6"], id="mid-write"),
+])
+def test_closed_stdout_exits_like_sigpipe(argv):
+    """A reader that closes stdout early (`| head -1`) is not a contract
+    violation: the command exits 141, as SIGPIPE would end it, and says
+    nothing on stderr, whether the output still sat in stdout's buffer
+    (2.4 kB) or had filled it (9.7 kB).  The child's stdout is block
+    buffered, as a user's is: PYTHONUNBUFFERED is dropped from its
+    environment."""
+    env = {k: v for k, v in _src_env().items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "linkcensus.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
 
 
 def test_usage_errors_exit_two(capsys):

@@ -14,18 +14,21 @@ from linkcensus.core import (
     canonical_sequence,
     decode_signature,
     edge_classes,
-    from_human_rows,
     is_orientable,
     iso_signature,
     parse_table,
-    relabel,
     sequence_signature,
     serialize,
     signature_table,
-    vertex_classes,
 )
 from linkcensus.perms import GLUING_PERMS, PERM4_INV, PERM4_SIGN
-from oracles import random_pairing, serialize_human
+from oracles import (
+    from_human_rows,
+    random_pairing,
+    relabel,
+    serialize_human,
+    vertex_classes,
+)
 
 
 def random_complete(rng: random.Random, n: int) -> Triangulation:

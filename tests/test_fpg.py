@@ -21,6 +21,7 @@ from linkcensus.fpg import (
 )
 from linkcensus.search import AUTO_DEPTH, _branch_maps
 from oracles import (
+    all_pairings,
     brute_automorphisms,
     brute_minimum,
     filtered_pairings,
@@ -107,24 +108,14 @@ def test_orderly_enumeration_matches_filtered(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_enumeration_matches_exhaustive_scan(n):
-    def all_pairings():
-        def rec(fp, out):
-            try:
-                s = fp.index(-1)
-            except ValueError:
-                if is_connected(fp) and is_canonical(tuple(fp)):
-                    out.add(tuple(fp))
-                return
-            for c in range(s + 1, 4 * n):
-                if fp[c] == -1:
-                    fp[s], fp[c] = c, s
-                    rec(fp, out)
-                    fp[s], fp[c] = -1, -1
-        out = set()
-        rec([-1] * (4 * n), out)
-        return out
-
-    assert {fp for fp, _ in enumerate_pairings(n)} == all_pairings()
+    exhaustive = set()
+    for pairs in all_pairings(n):
+        fp = [-1] * (4 * n)
+        for s, d in pairs:
+            fp[s], fp[d] = d, s
+        if is_canonical(tuple(fp)):
+            exhaustive.add(tuple(fp))
+    assert {fp for fp, _ in enumerate_pairings(n)} == exhaustive
 
 
 def test_format_roundtrip():

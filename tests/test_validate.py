@@ -11,21 +11,20 @@ from linkcensus import validate
 from linkcensus.core import (
     Triangulation,
     edge_classes,
-    from_human_rows,
     is_orientable,
     iso_signature,
-    vertex_classes,
 )
 from linkcensus.fpg import pairs_of
 from linkcensus.linktrack import GlueOutcome, LinkState
 from linkcensus.perms import GLUING_PERMS
-from linkcensus.validate import (
+from linkcensus.validate import build_links, check_edges, is_3manifold
+from oracles import (
+    TORUS_LINK_ROWS,
     brute_census,
-    build_links,
-    check_edges,
-    is_3manifold,
+    from_human_rows,
+    random_pairing,
+    vertex_classes,
 )
-from oracles import TORUS_LINK_ROWS, random_pairing
 
 
 def test_fresh_tet_links_are_discs():
