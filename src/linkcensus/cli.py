@@ -26,7 +26,7 @@ from math import factorial
 from typing import TYPE_CHECKING
 
 # serialize stays bound here for perfbench/tracer.py, which patches it
-# by name (ROADMAP item 3)
+# by name (ROADMAP items 14 and 16)
 from .core import ParseError, decode_signature, parse_table, serialize, signature_table
 from .fpg import enumerate_pairings, format_pairing, graph_summary
 from .search import (

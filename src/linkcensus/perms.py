@@ -63,9 +63,6 @@ PERM4_INV: tuple[int, ...] = tuple(
 
 FACE_VERTICES: tuple[tuple[int, int, int], ...] = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
 FACE_OPPOSITE: tuple[int, ...] = (3, 2, 1, 0)
-FACE_OF_VERTICES: dict[tuple[int, int, int], int] = {
-    verts: f for f, verts in enumerate(FACE_VERTICES)
-}
 
 EDGE_PAIRS: tuple[tuple[int, int], ...] = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 EDGE_INDEX: dict[tuple[int, int], int] = {pair: e for e, pair in enumerate(EDGE_PAIRS)}

@@ -5,8 +5,8 @@ is the compiled kernel and `_engine_py` the pure-Python twin with the
 same contract.  Everything here is bookkeeping around those searches:
 iterating canonical pairings, collecting per-pairing rows, splitting the
 tree into replayable jobs, and merging partial results exactly.
-`merge(results, jobs)` is the one place that checks the split was run
-exactly once: every job of the list covered by one result, nothing else.
+`merge(results, jobs)` is the one place that checks a split: its shape
+and that every job of the list was covered by one result, nothing else.
 Signatures are opaque here: sorted, unioned and counted, never read; the
 `merge` command decodes each class once, after the union.
 
@@ -61,6 +61,9 @@ MODES = ("all", "orientable", "nonorientable")
 
 #: size cap for pruning level 0; the unpruned tree is only an oracle tier
 LEVEL0_SIZE_CAP = 4
+#: size cap for every census: the compiled kernel's NMAX, kept for both
+#: kernels so that a census never depends on the backend
+SIZE_CAP = 16
 
 
 def load_backend(name: str | None = None):
@@ -103,14 +106,16 @@ class _Config(NamedTuple):
 class SearchConfig(_Config):
     """What to enumerate: size, orientability mode and pruning level.
     Nothing else changes a census, so the kernels' positional `seed` is
-    always passed 0.  Level 0, the unpruned tree, is refused above
-    LEVEL0_SIZE_CAP."""
+    always passed 0.  Sizes above SIZE_CAP, and level 0, the unpruned
+    tree, above LEVEL0_SIZE_CAP, are refused."""
 
     __slots__ = ()
 
     def __new__(cls, n: int, mode: str = "all", level: int = 2):
         if n < 1:
             raise ValueError("size must be at least 1")
+        if n > SIZE_CAP:
+            raise ValueError(f"size must be at most {SIZE_CAP}")
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if level not in (0, 1, 2):
@@ -452,15 +457,18 @@ def merge(results: list[CensusResult], jobs: list[JobDescriptor]) -> CensusResul
     """Exact union of the results of `jobs` and their split's partial
     result: counts add, signature sets union.
 
-    Raises ValueError unless every job is covered by exactly one result,
-    no result covers anything else, and at most one result, the split's
-    partial, covers no job: a job list with one job inside another's
-    subtree (parts of splits at two depths), a job covered twice, a job
-    with no result, a result for a job not in the list, a second result
-    with no job (the partial given twice) and a result's row for a
-    pairing none of its jobs is in would each make the counts wrong.  A
-    class held twice also raises: a triangulation fixes its face pairing
-    and its orientability.  Signatures are compared as strings only.
+    A split has a shape, and the merge checks that shape rather than
+    searching the jobs.  `split_jobs` cuts every job at one depth, so a
+    job list of two depths raises ValueError; that covers one job inside
+    another, as parts of splits at two depths would be.  A result that
+    covers jobs must hold rows for exactly their pairings, in index
+    order, and the split's partial, the one result that may cover no
+    job, a row for every job's pairing.  Two rules stay: every job is
+    covered by exactly one result and no result covers anything else,
+    and no class is held twice, since a triangulation fixes its face
+    pairing and its orientability.  The partial's rows for pairings with
+    no job are trusted, and so is a job list edited as a whole.
+    Signatures are compared as strings only.
     """
     if not results:
         raise ValueError("nothing to merge")
@@ -472,10 +480,10 @@ def merge(results: list[CensusResult], jobs: list[JobDescriptor]) -> CensusResul
         raise ValueError(f"{bare} results cover no job; only the split's "
                          "partial may")
     want = {job.id for job in jobs}
-    nested = [(index, prefix) for index, prefix in want
-              if any((index, prefix[:k]) in want for k in range(len(prefix)))]
-    if nested:
-        raise ValueError(f"job lies inside another job: {_name_jobs(sorted(nested))}")
+    depths = sorted({len(prefix) for _, prefix in want})
+    if len(depths) > 1:
+        raise ValueError(f"jobs at depths {', '.join(map(str, depths))}: a split "
+                         "writes all its jobs at one depth")
     got: set[JobId] = set()
     for job in (job for res in results for job in res.jobs):
         if job in got:
@@ -489,24 +497,24 @@ def merge(results: list[CensusResult], jobs: list[JobDescriptor]) -> CensusResul
     if extra:
         raise ValueError(f"{len(extra)} results cover jobs not in the jobs "
                          "file: " + _name_jobs(extra))
+    pairings = {index for index, _ in want}
     by_index: dict[int, list[PairingRow]] = {}
     for res in results:
-        covered = {index for index, _ in res.jobs}
+        held = [row.index for row in res.rows]
+        covered = sorted({index for index, _ in res.jobs})
+        if res.jobs and held != covered:
+            raise ValueError(f"a result covers jobs in pairings {covered} but "
+                             f"holds rows for pairings {held}")
+        if not res.jobs and (lost := sorted(pairings.difference(held))):
+            raise ValueError("the split's partial holds no row for pairings "
+                             f"{lost}, which jobs are in")
         for row in res.rows:
-            if covered and row.index not in covered:
-                raise ValueError(f"a result holds a row for pairing {row.index},"
-                                 " which none of its jobs is in")
             by_index.setdefault(row.index, []).append(row)
     rows = []
-    for index in sorted(by_index):
-        group = by_index[index]
-        orient: set[str] = set()
-        nonor: set[str] = set()
-        for row in group:
-            orient.update(row.orient_sigs)
-            nonor.update(row.nonor_sigs)
-        rows.append(PairingRow(index, **_totals(group),
-                               orient_sigs=tuple(sorted(orient)),
+    for index, group in sorted(by_index.items()):
+        orient = set().union(*(row.orient_sigs for row in group))
+        nonor = set().union(*(row.nonor_sigs for row in group))
+        rows.append(PairingRow(index, **_totals(group), orient_sigs=tuple(sorted(orient)),
                                nonor_sigs=tuple(sorted(nonor))))
     merged = CensusResult(config, tuple(rows), tuple(sorted(got)))
     # neighbours in the sorted classes: a list costs less than a set per class
@@ -611,22 +619,16 @@ def parse_job(line: str) -> JobDescriptor:
     parts = [p.strip() for p in line.split("|")]
     if len(parts) != 3:
         raise ValueError("job line must have config | pairing | prefix")
-    head: dict[str, str] = {}
-    for key, _, value in (tok.partition("=") for tok in parts[0].split()):
-        if key in head:
-            raise ValueError(f"job line repeats {key}=")
-        head[key] = value
-    for key in JOB_KEYS:
-        if key not in head:
-            raise ValueError(f"job line lacks {key}=")
-    for key in head:
-        if key not in JOB_KEYS:
-            raise ValueError(f"job line has unknown key {key!r}")
-    config = SearchConfig(int(head["n"]), head["mode"], int(head["level"]))
+    head = [tok.partition("=") for tok in parts[0].split()]
+    keys = [key for key, _, _ in head]
+    if keys != list(JOB_KEYS):
+        raise ValueError(f"job line has keys {keys}, expected {list(JOB_KEYS)}")
+    n, mode, level, index = (value for _, _, value in head)
+    config = SearchConfig(int(n), mode, int(level))
     _, pairing = parse_pairing(parts[1])
     toks = parts[2].split()
     for (s, p), tok in zip(pairs_of(pairing), toks):
         if tok.partition(":")[0] != f"{s}={p // 4}":
             raise ValueError(f"prefix token {tok!r} does not match the pairing")
-    return JobDescriptor(config, int(head["index"]), pairing,
+    return JobDescriptor(config, int(index), pairing,
                          tuple(int(tok.partition(":")[2]) for tok in toks))

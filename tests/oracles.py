@@ -29,7 +29,6 @@ from linkcensus.dsu import Outcome, SignedDsu
 from linkcensus.fpg import is_canonical, is_connected, pairs_of
 from linkcensus.linktrack import GlueOutcome, LinkState
 from linkcensus.perms import (
-    FACE_OF_VERTICES,
     FACE_VERTICES,
     GLUING_PERMS,
     PERM4_IMAGES,
@@ -55,6 +54,8 @@ TORUS_LINK_ROWS = [
 # -- letter-row tables ----------------------------------------------------------
 
 _TET_NAMES = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+#: the face of each sorted vertex triple
+FACE_OF_VERTICES = {verts: f for f, verts in enumerate(FACE_VERTICES)}
 _CELL_RE = re.compile(r"^([A-Za-z]|\d+)\s*:\s*(\d)(\d)(\d)$")
 
 

@@ -375,14 +375,76 @@ def test_merge_refuses_rows_no_job_could_have_written(tmp_path, capsys):
     a, sig = next((row[0], row[col][0]) for row in rows if row[col])
     stats = tmp_path / "stats.csv"
     for at, value, error in (
-            (0, 9, "a result holds a row for pairing 9, which none of its "
-                   "jobs is in"),
+            (0, 9, "a result covers jobs in pairings [0, 1, 2, 3] but holds "
+                   "rows for pairings [0, 1, 2, 9]"),
             (col, rows[-1][col] + [sig],
              f"class {sig} is held twice, by pairings {a} and {rows[-1][0]}")):
         rc, out, err = run_cli(capsys, "merge", _tampered(full, at, value),
                                "--jobs", jobs, "--sigs", "--stats", str(stats))
         assert (rc, out, err) == (1, "", f"error: {error}\n")
     assert not stats.exists()
+
+
+def test_merge_refuses_jobs_of_two_depths(tmp_path, capsys):
+    """An n=4 depth-1 jobs file whose first job line was replaced by its
+    two depth-2 children, with a trailer that counts them: run in two
+    parts, it would merge to 33,834 nodes instead of 33,840.  A split
+    writes every job at one depth, so the list is refused."""
+    split = {}
+    for depth in (1, 2):
+        split[depth] = tmp_path / f"depth{depth}.txt"
+        assert run_cli(capsys, "jobs", "--size", "4", "--depth", str(depth),
+                       "--out", str(split[depth]))[0] == 0
+    head, first, *rest, _ = split[1].read_text().splitlines()
+    children = [line for line in split[2].read_text().splitlines()
+                if line.startswith(f"{first} ")]
+    assert len(children) == 2
+    jobs = tmp_path / "jobs.txt"
+    jobs.write_text("".join(f"{line}\n" for line in (
+        head, *children, *rest, f"# jobs {len(children) + len(rest)}")))
+    results = []
+    for k, part in enumerate((children, rest)):
+        lines, result = tmp_path / f"part{k}.txt", tmp_path / f"result{k}.json"
+        lines.write_text("".join(f"{line}\n" for line in part))
+        assert run_cli(capsys, "run-job", "--in", str(lines),
+                       "--out", str(result))[0] == 0
+        results.append(str(result))
+    error = "error: jobs at depths 1, 2: a split writes all its jobs at one depth\n"
+    rc, out, err = run_cli(capsys, "merge", *results, "--jobs", str(jobs), "--sigs")
+    assert (rc, out, err) == (1, "", error)
+    # run-job merges the jobs it ran by the same rule
+    assert run_cli(capsys, "run-job", "--in", str(jobs)) == (1, "", error)
+
+
+def test_merge_refuses_a_result_missing_a_row(tmp_path, capsys):
+    """An n=3 depth-1 result with its last row deleted would merge to 63
+    classes instead of 81: a result that covers jobs holds a row for
+    each of their pairings."""
+    jobs, result = tmp_path / "jobs.txt", tmp_path / "result.json"
+    assert run_cli(capsys, "jobs", "--size", "3", "--depth", "1",
+                   "--out", str(jobs))[0] == 0
+    assert run_cli(capsys, "run-job", "--in", str(jobs), "--out", str(result))[0] == 0
+    data = json.loads(result.read_text())
+    del data["rows"][-1]
+    result.write_text(json.dumps(data) + "\n")
+    rc, out, err = run_cli(capsys, "merge", str(result), "--jobs", str(jobs), "--sigs")
+    assert (rc, out, err) == (1, "", "error: a result covers jobs in pairings "
+                              "[0, 1, 2, 3] but holds rows for pairings [0, 1, 2]\n")
+
+
+def test_merge_refuses_a_partial_header_missing_a_row(tmp_path, capsys):
+    """An n=3 depth-2 jobs file whose `# partial` header lost its first
+    row would merge to 1,926 nodes instead of 1,944: the partial holds a
+    row for every pairing a job is in."""
+    jobs, _, full = _n3_split(tmp_path, capsys)
+    head, *rest = Path(jobs).read_text().splitlines()
+    partial = json.loads(head.removeprefix("# partial "))
+    del partial["rows"][0]
+    Path(jobs).write_text("".join(f"{line}\n" for line in (
+        f"# partial {json.dumps(partial)}", *rest)))
+    rc, out, err = run_cli(capsys, "merge", full, "--jobs", jobs, "--sigs")
+    assert (rc, out, err) == (1, "", "error: the split's partial holds no row "
+                              "for pairings [0], which jobs are in\n")
 
 
 def test_merge_rejects_an_inconsistent_signature(tmp_path, capsys):
@@ -548,6 +610,13 @@ def test_contract_violations_exit_one(tmp_path, capsys):
         assert (rc, out) == (1, ""), argv
         assert err == "error: size must be at least 1\n", argv
     assert not (tmp_path / "none.txt").exists()
+    # past the compiled kernel's 16 tetrahedra, refused before any search
+    for argv in (["census", "--size", "17"], ["jobs", "--size", "17", "--depth", "1"],
+                 ["bench", "--size", "17"]):
+        started = time.perf_counter()
+        rc, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - started < 2, argv
+        assert (rc, out, err) == (1, "", "error: size must be at most 16\n"), argv
     rc, _, err = run_cli(capsys, "census", "--size", "5", "--pruning", "0")
     assert rc == 1
     assert err == "error: pruning level 0 is limited to n <= 4\n"
@@ -567,7 +636,8 @@ def test_contract_violations_exit_one(tmp_path, capsys):
     jobs.write_text(line.replace(" level=2", "") + "\n")
     rc, _, err = run_cli(capsys, "run-job", "--in", str(jobs))
     assert rc == 1
-    assert err == "error: job line lacks level=\n"
+    assert err == ("error: job line has keys ['n', 'mode', 'index'], "
+                   "expected ['n', 'mode', 'level', 'index']\n")
     jobs.write_text(line.replace(" index=0 ", " index=-1 ") + "\n")
     rc, out, err = run_cli(capsys, "run-job", "--in", str(jobs))
     assert (rc, out) == (1, "")

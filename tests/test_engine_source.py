@@ -57,19 +57,32 @@ def _assigned(path: Path, target: str):
     return ()
 
 
+def _defined(node: ast.stmt) -> list[str]:
+    """The names a module-level statement defines: a function or class,
+    or the plain names it assigns, dunder names apart."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [t.id for t in targets if isinstance(t, ast.Name)
+            and not (t.id.startswith("__") and t.id.endswith("__"))]
+
+
 def test_src_defines_only_what_the_program_reaches():
-    """Every top-level function and class in `src/` is referenced in
-    `src/` outside its own definition, exported in `__all__`, or patched
-    by name through `PATCHES` in `perfbench/tracer.py`.  Code that only
-    the tests call belongs in `tests/oracles.py`."""
-    definitions = {}  # (module, name) -> the names its own body uses
+    """Every top-level function, class and assigned name in `src/` is
+    referenced in `src/` outside its own definition, exported in
+    `__all__`, or patched by name through `PATCHES` in
+    `perfbench/tracer.py`; dunder names are exempt.  Code and tables that
+    only the tests read belong in `tests/oracles.py`."""
+    definitions = {}  # (module, name) -> the names its own statement uses
     used = set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             names = _referenced(node)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                definitions[(path.stem, node.name)] = names
-            else:
+            defined = _defined(node)
+            for name in defined:
+                definitions[(path.stem, name)] = names
+            if not defined:
                 used |= names
     for key, names in definitions.items():
         used |= {name for name in names if name != key[1]}

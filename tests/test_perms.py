@@ -8,7 +8,6 @@ from linkcensus.perms import (
     EDGE_INDEX,
     EDGE_PAIRS,
     FACE_EDGES,
-    FACE_OF_VERTICES,
     FACE_OPPOSITE,
     FACE_VERTICES,
     FACES_AT_VERTEX,
@@ -23,6 +22,7 @@ from linkcensus.perms import (
     PERM4_SIGN,
     extend_face_perm,
 )
+from oracles import FACE_OF_VERTICES
 
 
 def test_perm4_images_lexicographic():

@@ -21,6 +21,7 @@ from linkcensus.perms import GLUING_PERMS
 from linkcensus.search import (
     AUTO_DEPTH,
     COUNTERS,
+    SIZE_CAP,
     JobDescriptor,
     PairingRow,
     SearchConfig,
@@ -140,6 +141,14 @@ def test_config_validation():
         SearchConfig(n=5, level=0)  # no override
     with pytest.raises(ValueError, match="size must be at least 1"):
         SearchConfig(n=2)._replace(n=0)
+    # the compiled kernel's arrays hold 16 tetrahedra; the cap holds for
+    # both kernels, so a census never depends on the backend
+    kernel = Path(search.__file__).with_name("_engine.pyx").read_text()
+    assert f"    NMAX = {SIZE_CAP}\n" in kernel
+    SearchConfig(n=SIZE_CAP)
+    for n in (SIZE_CAP + 1, 10**6):
+        with pytest.raises(ValueError, match="^size must be at most 16$"):
+            SearchConfig(n=n)
     assert list(SearchConfig._fields) == ["n", "mode", "level"]
 
 
@@ -649,27 +658,38 @@ def test_job_line_rejects_tampering():
     forged = f"{head} | {pairing} | {slot}={int(tet) + 1}:{pi}"
     with pytest.raises(ValueError, match="does not match the pairing"):
         parse_job(forged)
-    with pytest.raises(ValueError, match="lacks level="):
+    keys = "job line has keys {}, expected ['n', 'mode', 'level', 'index']"
+    with pytest.raises(ValueError, match=re.escape(
+            keys.format(['n', 'mode', 'index']))):
         parse_job(line.replace(" level=2", ""))
     # face digits stop at 3: slot 0.4 must not read as slot 1.0
     assert " 1.0 " in pairing
     with pytest.raises(ValueError, match="bad partner token '0.4'"):
         parse_job(line.replace(" 1.0 ", " 0.4 ", 1))
     # the previous format carried a seed= key
-    with pytest.raises(ValueError, match="unknown key 'seed'"):
+    with pytest.raises(ValueError, match=re.escape(
+            keys.format(['n', 'mode', 'level', 'seed', 'index']))):
         parse_job(line.replace(" index=", " seed=0 index="))
-    with pytest.raises(ValueError, match="unknown key 'x'"):
+    with pytest.raises(ValueError, match=re.escape(
+            keys.format(['x', 'n', 'mode', 'level', 'index']))):
         parse_job("x " + line)
     with pytest.raises(ValueError, match="job index -1 is negative"):
         parse_job(line.replace(" index=0 ", " index=-1 "))
     # a repeated key is refused, not read as its last value
-    with pytest.raises(ValueError, match="job line repeats index="):
+    with pytest.raises(ValueError, match=re.escape(
+            keys.format(['n', 'mode', 'level', 'index', 'index']))):
         parse_job(line.replace(" index=0 ", " index=0 index=1 "))
-    with pytest.raises(ValueError, match="job line repeats mode="):
+    with pytest.raises(ValueError, match=re.escape(
+            keys.format(['n', 'mode', 'mode', 'level', 'index']))):
         parse_job(line.replace(" mode=all ", " mode=all mode=orientable "))
     # the previous format carried a force_level0= key
-    with pytest.raises(ValueError, match="unknown key 'force_level0'"):
+    with pytest.raises(ValueError, match=re.escape(
+            keys.format(['n', 'mode', 'level', 'force_level0', 'index']))):
         parse_job(line.replace(" index=", " force_level0=0 index="))
+    # no writer reorders the keys
+    with pytest.raises(ValueError, match=re.escape(
+            keys.format(['mode', 'n', 'level', 'index']))):
+        parse_job(line.replace("n=2 mode=all ", "mode=all n=2 "))
     # n=1 has two pairs: a third token must not index past them
     with pytest.raises(ValueError, match="a prefix of 3 gluings leaves none of "
                        "the pairing's 2 pairs open"):
@@ -772,25 +792,38 @@ def test_merge_counts_every_job_exactly_once(homes):
 
 
 def test_merge_refuses_rows_no_job_could_have_written():
-    """A result that covers jobs holds rows for their pairings only (the
-    split's partial covers none and holds them all), and no class is held
-    twice, since a triangulation fixes its face pairing and its
-    orientability."""
+    """A result that covers jobs holds rows for exactly their pairings,
+    the split's partial covers none and holds a row for every job's
+    pairing, and no class is held twice, since a triangulation fixes its
+    face pairing and its orientability."""
     jobs, partial, results = _n3_jobs()
     k = next(k for k, res in enumerate(results) if res.rows[0].index == 3)
     row = results[k].rows[0]
     sig1, sig3 = (census(3).rows[index].orient_sigs[0] for index in (1, 3))
-    outside = "a result holds a row for pairing {}, which none of its jobs is in"
+    rows = "a result covers jobs in pairings [3] but holds rows for pairings {}"
     twice = "class {} is held twice, by pairings {} and 3"
-    for bad, error in ((row._replace(index=2), outside.format(2)),
-                       (row._replace(index=9), outside.format(9)),
-                       (row._replace(orient_sigs=row.orient_sigs + (sig1,)),
+    for bad, error in (((row._replace(index=2),), rows.format([2])),
+                       ((row._replace(index=9),), rows.format([9])),
+                       ((), rows.format([])),
+                       ((row, row), rows.format([3, 3])),
+                       ((row._replace(orient_sigs=row.orient_sigs + (sig1,)),),
                         twice.format(sig1, 1)),
-                       (row._replace(nonor_sigs=row.nonor_sigs + (sig3,)),
+                       ((row._replace(nonor_sigs=row.nonor_sigs + (sig3,)),),
                         twice.format(sig3, 3))):
-        tampered = results[k]._replace(rows=(bad,))
+        tampered = results[k]._replace(rows=bad)
         with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
             merge([partial, *results[:k], tampered, *results[k + 1:]], jobs)
+    # one part for every job, its last row lost: 63 classes, not 81
+    part = merge(results, jobs)
+    with pytest.raises(ValueError, match=re.escape(
+            "a result covers jobs in pairings [0, 1, 2, 3] but holds rows for "
+            "pairings [0, 1, 2]")):
+        merge([partial, part._replace(rows=part.rows[:-1])], jobs)
+    # the partial's row of pairing 0 would add the nodes above its jobs
+    assert partial.rows[0].index == 0 and any(job.pairing_index == 0 for job in jobs)
+    with pytest.raises(ValueError, match=re.escape(
+            "the split's partial holds no row for pairings [0], which jobs are in")):
+        merge([partial._replace(rows=partial.rows[1:]), *results], jobs)
 
 
 def test_merge_validation():
@@ -807,7 +840,8 @@ def test_merge_validation():
     shallow, deep = (split_jobs(config, depth)[0] for depth in (1, 2))
     parts = [merge([run_job(job) for job in jobs], jobs)
              for jobs in (shallow, deep)]
-    with pytest.raises(ValueError, match="inside another job"):
+    with pytest.raises(ValueError, match="^jobs at depths 1, 2: a split writes "
+                                         "all its jobs at one depth$"):
         merge(parts, shallow + deep)
     with pytest.raises(ValueError, match="different configurations"):
         merge([census(1), census(2)], [])
